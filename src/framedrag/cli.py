@@ -435,9 +435,12 @@ def _run_fig3(scenario: Scenario) -> str:
     length = float(scenario.require("arms.length"))
     omega_max = float(scenario.require("sweep.omega_max"))
     points = int(scenario.require("sweep.points"))
+    if points < 2:
+        raise ValueError(f"sweep.points must be >= 2, got {points}")
+    turntable._check_speed(abs(omega_max) * radius / _C)  # fastest rim of the sweep
     lines = ["omega_rad_s,coincidence_probability"]
     for i in range(points):
-        omega_rot = omega_max * i / (points - 1) if points > 1 else omega_max
+        omega_rot = omega_max * i / (points - 1)
         v = omega_rot * radius / _C
         delta_t = 4.0 * v * length / (1.0 - v * v)
         prob = interference.hom_coincidence_gaussian(sigma, delta_t)

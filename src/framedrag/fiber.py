@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .turntable import sagnac_phase
 
 __all__ = [
@@ -350,6 +348,8 @@ def downconverted_coincidence(sigma: float, coeffs: DispersionCoefficients,
     integrand and cancels in the modulus — the dispersion-cancellation
     property checked by perturbing beta.
     """
+    from scipy.integrate import quad
+
     if sigma <= 0.0 or length <= 0.0:
         raise ValueError(f"sigma and length must be positive, got {sigma!r}, {length!r}")
     da = coeffs.delta_alpha

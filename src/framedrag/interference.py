@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _kernels
 from .errors import GuardViolation
@@ -194,6 +193,8 @@ def single_photon_prob_gaussian(delta_phi: float, omega0: float, sigma: float, *
 
 def _centered_cosine_transform(packet: Wavepacket, delta_t: float) -> float:
     """integral of density(omega) cos((omega - omega0) dt) d omega by quadrature."""
+    from scipy.integrate import quad
+
     omega0, sigma = packet.omega0, packet.sigma
 
     def centered(u: float) -> float:

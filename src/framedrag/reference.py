@@ -17,10 +17,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import fiber, interference, kerr, turntable
 from ._kernels import hom_pair_probabilities
@@ -105,6 +102,8 @@ def check_null_residual() -> CheckResult:
 
 
 def _mp_full_speed(r_s, a, r, sign):
+    import mpmath as mp
+
     big_p = r * r + a * a * (1 + r_s / r)
     drag = r_s * a / (r * mp.sqrt(big_p))
     root = mp.sqrt(drag * drag + 1 - r_s / r)
@@ -121,6 +120,8 @@ def check_weak_vs_full(weak_fn: Callable[..., float] | None = None,
     weak formula to test that tampering is caught; the grid then shrinks
     to [1e-5, 1e-3]^2 so the envelope stays clear of double rounding.
     """
+    import mpmath as mp
+
     worst = 0.0
     count = 0
     low_exp = mp.mpf(-12) if weak_fn is None else mp.mpf(-5)
@@ -233,6 +234,8 @@ def check_visibility_exponent_ratio() -> CheckResult:
 
 
 def check_wavepacket_normalization() -> CheckResult:
+    from scipy.integrate import quad
+
     worst = 0.0
     cases = ((2.0e6, 3.5e3), (8.0e6, 4000.0 * math.pi), (1.0e6, 1.0e5))
     for omega0, sigma in cases:
@@ -386,6 +389,8 @@ def check_downconverted_closed_vs_quadrature() -> CheckResult:
 
 def check_silica_derivatives() -> CheckResult:
     """Analytic n', n'' and the moving-medium GVD against extended-precision differences."""
+    import mpmath as mp
+
     model = fiber.RefractiveModel.fused_silica()
     k0 = model.k0
     # (relative deviation, tolerance) pairs; first derivative gets 1e-8,
@@ -492,6 +497,8 @@ def fig1_crossover_radius(omega: float = 2.0e6, sigma: float = 3.5e3) -> float:
     grid (the quoted near-horizon visibility shape is unreproduced with
     the stated spectral width).
     """
+    from scipy.optimize import brentq
+
     source = GravSource(r_s=3.0e4, a=7.5e3)
 
     def deficit(r_over_rs: float) -> float:

@@ -193,6 +193,21 @@ def test_fig3_sugar_flags(capsys):
     assert lines[-1].startswith("10,")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--points", "0"], "sweep.points must be >= 2, got 0"),
+    (["--points", "-2"], "sweep.points must be >= 2, got -2"),
+    (["--omega-max", "3e9"], "tangential speed must satisfy 0 <= v < 1"),
+], ids=["points-0", "points-negative", "superluminal-rim"])
+def test_fig3_rejects_bad_sweep(capsys, tmp_path, argv, message):
+    path = tmp_path / "fig3.csv"
+    for extra in ([], ["--csv", str(path)]):
+        code, out, err = run_cli(capsys, "fig3", *argv, *extra)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"ERROR validation: {message}")
+    assert not path.exists()
+
+
 def test_fig1_reports_unmet_visibility_target(capsys):
     code, out, err = run_cli(capsys, "fig1")
     assert code == 0
