@@ -158,6 +158,10 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
                                   "speeds are positive).")
 
     delay_full = kerr.kerr_time_delay_full(point, length)
+    if not math.isfinite(delay_full):
+        raise GuardViolation(
+            f"divergent delay at g_tt = 0 (ergosphere boundary r = {point.r!r} m): "
+            "the full-mode delay, phase and detection probability are undefined.")
     report.output("delay_full", delay_full, "m", "kerr-delay-full")
     phase_full = kerr.kerr_phase_difference(point, length, omega0, mode="full")
     report.output("phase_full", phase_full, "rad", "kerr-phase-full")
@@ -440,7 +444,7 @@ def _run_fig3(scenario: Scenario) -> str:
     turntable._check_speed(abs(omega_max) * radius / _C)  # fastest rim of the sweep
     lines = ["omega_rad_s,coincidence_probability"]
     for i in range(points):
-        omega_rot = omega_max * i / (points - 1)
+        omega_rot = omega_max * i / (points - 1) + 0.0  # -0.0 -> 0.0 on the first row
         v = omega_rot * radius / _C
         delta_t = 4.0 * v * length / (1.0 - v * v)
         prob = interference.hom_coincidence_gaussian(sigma, delta_t)

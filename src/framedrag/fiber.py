@@ -79,6 +79,10 @@ class RefractiveModel:
     k_max: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("A", "B", "k0", "k_min", "k_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.A < 0.0:
             raise ValueError(f"A must be >= 0, got {self.A!r}")
         if self.B < 1.0:
@@ -135,6 +139,10 @@ class FiberArms:
     v: float
 
     def __post_init__(self) -> None:
+        for name in ("length", "delta_length"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.length <= 0.0:
             raise ValueError(f"arm length must be positive, got {self.length!r}")
         if abs(self.delta_length) >= 0.1 * self.length:

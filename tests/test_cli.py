@@ -193,6 +193,13 @@ def test_fig3_sugar_flags(capsys):
     assert lines[-1].startswith("10,")
 
 
+def test_fig3_negative_sweep_starts_at_positive_zero(capsys):
+    code, out, _ = run_cli(capsys, "fig3", "--omega-max", "-5", "--points", "3")
+    assert code == 0
+    assert out.splitlines()[1] == "0,0"
+    assert out.splitlines()[-1].startswith("-5,")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--points", "0"], "sweep.points must be >= 2, got 0"),
     (["--points", "-2"], "sweep.points must be >= 2, got -2"),
@@ -251,6 +258,20 @@ def test_guard_violation_exits_2_and_can_be_forced(capsys):
                            "--override-guards")
     assert code == 0
     assert "photon_prob_gaussian" in out
+
+
+def test_kerr_ergosphere_boundary_is_a_named_guard(capsys, tmp_path):
+    # r = r_s puts the point on the equatorial ergosphere (g_tt = 0), where
+    # the full-mode delay diverges; no flag can force a finite answer.
+    path = tmp_path / "kerr.csv"
+    argv = ["kerr", "--set", "source.rs=3e4", "--set", "source.a=7.5e3",
+            "--set", "point.r=3e4", "--csv", str(path)]
+    for extra in ([], ["--override-guards"]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("ERROR guard: divergent delay at g_tt = 0")
+    assert not path.exists()
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

@@ -74,6 +74,24 @@ def test_model_validation():
         RefractiveModel(A=0.0, B=1.5, k0=1.0e6, k_min=2.0e6, k_max=3.0e6)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["A", "B", "k0", "k_min", "k_max"])
+def test_model_rejects_non_finite(name, value):
+    fields = {"A": 0.0, "B": 1.5, "k0": 1.0e6, "k_min": 5.0e5, "k_max": 2.0e6}
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RefractiveModel(**fields)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["length", "delta_length"])
+def test_arms_reject_non_finite(name, value):
+    fields = {"length": 10.0, "delta_length": 0.0, "model": SILICA, "v": 0.0}
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FiberArms(**fields)
+
+
 def test_arms_validation():
     with pytest.raises(ValueError, match="length"):
         FiberArms(length=0.0, delta_length=0.0, model=SILICA, v=0.0)

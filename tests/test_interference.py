@@ -1,6 +1,7 @@
 """Photon interference: closed forms vs quadrature vs the pairwise Fock oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,36 @@ def test_kernel_backends_agree(monkeypatch):
     slow = _kernels.hom_pair_probabilities(weights, omegas, 3.0e-4)
     assert slow[0] == pytest.approx(fast[0], abs=1e-12)
     assert slow[1] == pytest.approx(fast[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("delta_t", [0.0, 3.0e-4])
+@pytest.mark.parametrize("bins", [2, 255, 256, 257, 300])
+def test_numpy_kernel_matches_explicit_loops(monkeypatch, bins, delta_t):
+    # Sizes straddle the 256-row block: one partial, one exact, one block
+    # plus a single row, and a partial second block.  Halved weights make
+    # the explicit totals sum to 1/4, so a bunching total derived as
+    # 1 - p_c, or a coincidence taken from 1 - |chi|^2, cannot match.
+    monkeypatch.setenv("FRAMEDRAG_DISABLE_NUMBA", "1")
+    omegas, weights = fock_grid(PACKET, bins)
+    weights = 0.5 * weights
+    blocked = _kernels.hom_pair_probabilities(weights, omegas, delta_t)
+    loops = _kernels._pair_sums_loops(np.sqrt(weights), np.exp(-1j * omegas * delta_t))
+    assert blocked[0] == pytest.approx(loops[0], rel=1e-12)
+    assert blocked[1] == pytest.approx(loops[1], rel=1e-12)
+
+
+def test_numpy_kernel_peak_allocation(monkeypatch):
+    # One M x M complex array at M = 2048 is 64 MB; the blocked kernel's
+    # temporaries are three 256 x M blocks.
+    monkeypatch.setenv("FRAMEDRAG_DISABLE_NUMBA", "1")
+    omegas, weights = fock_grid(PACKET, 2048)
+    tracemalloc.start()
+    try:
+        _kernels.hom_pair_probabilities(weights, omegas, 3.0e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=32),
