@@ -1,59 +1,33 @@
 """Two-photon beamsplitter pair sums.
 
 The discretized coincidence oracle scales as O(M^2) in the number of
-spectral bins — the only genuinely hot loop in the package.  The inner
-kernel is compiled with numba when it is installed (the optional
-``numba`` extra); otherwise, or when the environment variable
-``FRAMEDRAG_DISABLE_NUMBA`` is set to anything but ``0``, a blocked numpy
-kernel runs instead.  It streams blocks of 256 rows, so its temporaries
-take O(256 M) memory rather than several M x M complex arrays, and
-reduces each block with ``np.dot``.  Against the earlier M x M numpy form
-it measured 70 -> 11 ms at M = 1024 and 302 -> 46 ms at M = 2048 (best of
-5, one BLAS thread, 2-vCPU x86-64 host, Python 3.11, numpy 2.4).  Both
-paths perform the same explicit pairwise mode-operator bookkeeping, with
-independent coincidence and bunching totals; neither may collapse the sum
-into the factorized characteristic-function shortcut used by the closed
-forms the oracle exists to check.
+spectral bins — the only genuinely hot loop in the package.  The kernel
+is blocked numpy: it streams blocks of 256 rows, so its temporaries take
+O(256 M) memory rather than several M x M complex arrays, and reduces
+each block with ``np.dot``.  Against the earlier M x M numpy form it
+measured 70 -> 11 ms at M = 1024 and 302 -> 46 ms at M = 2048 (best of
+5, one BLAS thread, 2-vCPU x86-64 host, Python 3.11, numpy 2.4).  It
+performs explicit pairwise mode-operator bookkeeping, with independent
+coincidence and bunching totals; it may not collapse the sum into the
+factorized characteristic-function shortcut used by the closed forms the
+oracle exists to check.  ``_pair_sums_loops`` is the plain-Python
+reference the tests compare it with.
+
+numpy loads with this module, so its callers import it inside the
+functions that run the oracle: importing the package loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-__all__ = ["hom_pair_probabilities", "kernel_backend"]
+__all__ = ["hom_pair_probabilities"]
 
 # Rows per block of the numpy pair sum: its temporaries are three
 # _BLOCK_ROWS x M complex arrays (about 22 MB at M = 2048), never M x M.
 _BLOCK_ROWS = 256
-
-_njit_kernel = None
-
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("FRAMEDRAG_DISABLE_NUMBA", "")
-    return flag not in ("", "0")
-
-
-def kernel_backend() -> str:
-    """Name of the kernel implementation the next call will use."""
-    if _numba_disabled():
-        return "numpy"
-    return "numba" if _get_njit_kernel() is not None else "numpy"
-
-
-def _get_njit_kernel():
-    global _njit_kernel
-    if _njit_kernel is None:
-        try:
-            from numba import njit
-        except ImportError:
-            _njit_kernel = False
-            return None
-        _njit_kernel = njit(cache=True)(_pair_sums_loops)
-    return _njit_kernel or None
 
 
 def _pair_sums_loops(amp: np.ndarray, phase: np.ndarray) -> tuple[float, float]:
@@ -124,8 +98,4 @@ def hom_pair_probabilities(weights: np.ndarray, omegas: np.ndarray,
         raise ValueError(f"delta_t must be finite, got {delta_t!r}")
     amp = np.sqrt(weights)
     phase = np.exp(-1j * omegas * delta_t)
-    if not _numba_disabled():
-        kernel = _get_njit_kernel()
-        if kernel is not None:
-            return kernel(amp, phase)
     return _pair_sums_numpy(amp, phase)

@@ -194,6 +194,11 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("visibility", interference.gaussian_visibility(delay_for_vis, sigma),
                   None, "gaussian-visibility")
     phase_for_prob = phase_weak if weak_ok else phase_full
+    if abs(phase_for_prob) * sys.float_info.epsilon >= 1.0:
+        raise GuardViolation(
+            f"phase {phase_for_prob!r} rad has a float64 spacing of "
+            f"{math.ulp(phase_for_prob)!r} rad: sin(phase) and the detection "
+            "probabilities have no correct digit.")
     report.output("photon_prob_mono", interference.single_photon_prob(phase_for_prob),
                   None, "single-photon-prob")
     report.output("photon_prob_gaussian",

@@ -14,9 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .errors import GuardViolation
 
 __all__ = [
@@ -85,6 +82,8 @@ class Wavepacket:
 
     @classmethod
     def tabulated(cls, omegas, density) -> "Wavepacket":
+        import numpy as np
+
         omegas = np.asarray(omegas, dtype=float)
         density = np.asarray(density, dtype=float)
         if omegas.ndim != 1 or omegas.shape != density.shape or omegas.size < 2:
@@ -117,6 +116,8 @@ class Wavepacket:
 
     def density(self, omega):
         """Spectral density at ``omega`` (vectorized; zero outside a tabulated grid)."""
+        import numpy as np
+
         if self.shape == "gaussian":
             u = (np.asarray(omega, dtype=float) - self.omega0) / self.sigma
             return np.exp(-u * u) / (math.sqrt(math.pi) * self.sigma)
@@ -140,6 +141,8 @@ class InterferenceResult:
 
 
 def _trapz_weights(grid: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     w = np.empty_like(grid)
     w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
     w[0] = 0.5 * (grid[1] - grid[0])
@@ -153,6 +156,8 @@ def load_spectrum(path) -> Wavepacket:
     Lines starting with '#' are comments; the density is renormalized on
     load (with a warning if it was off).
     """
+    import numpy as np
+
     data = np.loadtxt(path, comments="#", ndmin=2)
     if data.shape[1] != 2:
         raise ValueError(f"spectrum file must have two columns, got {data.shape[1]}")
@@ -243,6 +248,8 @@ def hom_coincidence_general(packet: Wavepacket, delta_t: float) -> float:
     makes the coincidence vanish identically at zero delay.
     """
     if packet.shape == "tabulated":
+        import numpy as np
+
         weights = _trapz_weights(packet.grid_omega) * packet.grid_density
         chi = weights @ np.exp(-1j * packet.grid_omega * delta_t)
         chi0 = weights.sum()
@@ -271,6 +278,8 @@ def fock_grid(packet: Wavepacket, bins: int = 1024) -> tuple[np.ndarray, np.ndar
     Tabulated packets use their own grid (``bins`` ignored); Gaussian
     packets are sampled on a uniform grid spanning +-6 sigma.
     """
+    import numpy as np
+
     if packet.shape == "tabulated":
         omegas = np.asarray(packet.grid_omega, dtype=float)
         weights = _trapz_weights(omegas) * packet.grid_density
@@ -293,6 +302,8 @@ def fock_oracle_hom(packet: Wavepacket, delta_t: float, bins: int = 1024) -> flo
     pairwise — an O(bins^2) route independent of the characteristic-
     function formulas it is used to test.
     """
+    from . import _kernels
+
     omegas, weights = fock_grid(packet, bins)
     p_coinc, _ = _kernels.hom_pair_probabilities(weights, omegas, delta_t)
     return p_coinc

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import GravSource
 from .errors import GuardViolation
 
@@ -65,10 +63,6 @@ class MetricComponents:
     g_tphi: float
     g_phiphi: float
 
-    @property
-    def determinant(self) -> float:
-        return self.g_tt * self.g_phiphi - self.g_tphi**2
-
 
 @dataclass(frozen=True)
 class LightSpeedPair:
@@ -103,11 +97,6 @@ class KerrPoint:
                 raise ValueError(
                     f"r = {self.r!r} m is not outside the horizon r+ = {r_plus!r} m"
                 )
-
-    @property
-    def delta(self) -> float:
-        """Horizon function Delta = r^2 - r_s r + a^2 (> 0 outside r+)."""
-        return self.r * (self.r - self.source.r_s) + self.source.a**2
 
 
 def _check_direction(direction: str) -> None:
@@ -368,6 +357,8 @@ def blackhole_scan(source: GravSource, omega: float, sigma: float, *,
         Explicit radii in units of r_s.  When omitted, a logarithmic grid
         of ``n_points`` samples from 1.05 r+/r_s to ``r_max`` is used.
     """
+    import numpy as np
+
     _check_positive(omega, "omega")
     _check_positive(sigma, "sigma")
     if source.r_s <= 0.0:

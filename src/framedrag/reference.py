@@ -17,10 +17,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import fiber, interference, kerr, turntable
-from ._kernels import hom_pair_probabilities
 from .constants import CONSTANTS, GravSource, PhysicalConstants
 from .interference import Wavepacket
 
@@ -170,6 +167,8 @@ def check_frame_drag_asymmetry() -> CheckResult:
 # --- interference -----------------------------------------------------------
 
 def check_hom_closed_vs_quadrature() -> CheckResult:
+    import numpy as np
+
     sigma = 3.5e3
     packet = Wavepacket.gaussian(2.0e6, sigma)
     worst = 0.0
@@ -208,6 +207,8 @@ def check_fock_vs_quadrature(bins: int = 1024) -> CheckResult:
 
 
 def check_fock_unitarity(bins: int = 512) -> CheckResult:
+    from ._kernels import hom_pair_probabilities
+
     packet = Wavepacket.gaussian(2.0e6, 3.5e3)
     omegas, weights = interference.fock_grid(packet, bins)
     worst = 0.0
@@ -250,6 +251,8 @@ def check_wavepacket_normalization() -> CheckResult:
 # --- two-way isotropy -------------------------------------------------------
 
 def check_two_way_turntable(samples: int = 100, seed: int = 20250814) -> CheckResult:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -262,6 +265,8 @@ def check_two_way_turntable(samples: int = 100, seed: int = 20250814) -> CheckRe
 
 
 def check_two_way_kerr(samples: int = 100, seed: int = 20250814) -> CheckResult:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, determinism, warnings, CSV."""
 
 import math
+import sys
 
 import pytest
 
@@ -272,6 +273,27 @@ def test_kerr_ergosphere_boundary_is_a_named_guard(capsys, tmp_path):
         assert err.count("\n") == 1
         assert err.startswith("ERROR guard: divergent delay at g_tt = 0")
     assert not path.exists()
+
+
+def test_kerr_phase_beyond_float_resolution_is_a_named_guard(capsys):
+    # 1e-6 m outside r = r_s the full-mode phase is 2.67e21 rad, where one
+    # float64 step is 5.2e5 rad, so sin(phase) carries no information.
+    code, out, err = run_cli(
+        capsys, "kerr", "--set", "source.rs=3e4", "--set", "source.a=7.5e3",
+        "--set", "point.r=3.0000000001e4")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ERROR guard: phase 2.6657295422550526e+21 rad")
+
+
+def test_kerr_phase_just_under_float_resolution_still_reports(capsys):
+    code, out, err = run_cli(
+        capsys, "kerr", "--set", "source.rs=3e4", "--set", "source.a=7.5e3",
+        "--set", "point.r=30000.6")
+    assert code == 0 and err == ""
+    phase = parse_report(out)["phase_full"]
+    assert 0.9 / sys.float_info.epsilon < phase < 1.0 / sys.float_info.epsilon
+    assert "photon_prob_mono" in out
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

@@ -127,7 +127,7 @@ def test_hom_visibility():
         hom_visibility(0.0, 0.0)
 
 
-# --- Fock oracle and kernel backends ------------------------------------------
+# --- Fock oracle and its kernel ----------------------------------------------
 
 def test_fock_oracle_matches_closed_form():
     assert fock_oracle_hom(PACKET, 0.0, bins=256) == 0.0
@@ -136,37 +136,25 @@ def test_fock_oracle_matches_closed_form():
             hom_coincidence_gaussian(PACKET.sigma, delta_t), abs=1e-9)
 
 
-def test_kernel_backends_agree(monkeypatch):
-    omegas, weights = fock_grid(PACKET, 512)
-    assert _kernels.kernel_backend() in ("numba", "numpy")
-    fast = _kernels.hom_pair_probabilities(weights, omegas, 3.0e-4)
-    monkeypatch.setenv("FRAMEDRAG_DISABLE_NUMBA", "1")
-    assert _kernels.kernel_backend() == "numpy"
-    slow = _kernels.hom_pair_probabilities(weights, omegas, 3.0e-4)
-    assert slow[0] == pytest.approx(fast[0], abs=1e-12)
-    assert slow[1] == pytest.approx(fast[1], abs=1e-12)
-
-
 @pytest.mark.parametrize("delta_t", [0.0, 3.0e-4])
-@pytest.mark.parametrize("bins", [2, 255, 256, 257, 300])
-def test_numpy_kernel_matches_explicit_loops(monkeypatch, bins, delta_t):
+@pytest.mark.parametrize("bins", [2, 255, 256, 257, 300, 512])
+def test_numpy_kernel_matches_explicit_loops(bins, delta_t):
     # Sizes straddle the 256-row block: one partial, one exact, one block
-    # plus a single row, and a partial second block.  Halved weights make
-    # the explicit totals sum to 1/4, so a bunching total derived as
-    # 1 - p_c, or a coincidence taken from 1 - |chi|^2, cannot match.
-    monkeypatch.setenv("FRAMEDRAG_DISABLE_NUMBA", "1")
+    # plus a single row, a partial second block, and two full blocks.
+    # Halved weights make the explicit totals sum to 1/4, so a bunching
+    # total derived as 1 - p_c, or a coincidence taken from 1 - |chi|^2,
+    # cannot match.
     omegas, weights = fock_grid(PACKET, bins)
-    weights = 0.5 * weights
-    blocked = _kernels.hom_pair_probabilities(weights, omegas, delta_t)
-    loops = _kernels._pair_sums_loops(np.sqrt(weights), np.exp(-1j * omegas * delta_t))
+    amp, phase = np.sqrt(0.5 * weights), np.exp(-1j * omegas * delta_t)
+    blocked = _kernels._pair_sums_numpy(amp, phase)
+    loops = _kernels._pair_sums_loops(amp, phase)
     assert blocked[0] == pytest.approx(loops[0], rel=1e-12)
     assert blocked[1] == pytest.approx(loops[1], rel=1e-12)
 
 
-def test_numpy_kernel_peak_allocation(monkeypatch):
+def test_numpy_kernel_peak_allocation():
     # One M x M complex array at M = 2048 is 64 MB; the blocked kernel's
     # temporaries are three 256 x M blocks.
-    monkeypatch.setenv("FRAMEDRAG_DISABLE_NUMBA", "1")
     omegas, weights = fock_grid(PACKET, 2048)
     tracemalloc.start()
     try:
