@@ -33,6 +33,7 @@ from .scenario import (
 )
 
 _C = CONSTANTS.c
+_CSV_BLOCK = 4096  # rows rendered per write by _write_table
 
 INPUT_UNITS = {
     "source.rs": "m",
@@ -106,6 +107,33 @@ class RunReport:
 def _write_text(path: Path, text: str) -> None:
     with open(path, "w", newline="\n") as handle:
         handle.write(text)
+
+
+def _write_table(stream, header: str, columns: list) -> None:
+    """Write equal-length float columns as %.17g CSV rows, _CSV_BLOCK rows per write.
+
+    Columns are numpy arrays or lists.  Each block is sliced to Python floats
+    (``tolist`` for arrays), interleaved row-major and formatted by one ``%``
+    over a repeated row template, so no whole-table text is ever held.
+    """
+    stream.write(header + "\n")
+    width = len(columns)
+    row = ",".join(["%.17g"] * width) + "\n"
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        parts = [col[start:start + _CSV_BLOCK] for col in columns]
+        rows = len(parts[0])
+        cells = [None] * (width * rows)
+        for j, part in enumerate(parts):
+            cells[j::width] = part.tolist() if hasattr(part, "tolist") else part
+        stream.write(row * rows % tuple(cells))
+
+
+def _guard_phase_resolution(phase: float) -> None:
+    """Stop when one float64 step of ``phase`` is >= 1 rad: sin(phase) is noise."""
+    if abs(phase) * sys.float_info.epsilon >= 1.0:
+        raise GuardViolation(
+            f"phase {phase!r} rad has a float64 spacing of {math.ulp(phase)!r} "
+            "rad: sin(phase) and the detection probabilities have no correct digit.")
 
 
 def _warn_earth_radius(report: RunReport, source: GravSource, r: float) -> None:
@@ -194,11 +222,7 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("visibility", interference.gaussian_visibility(delay_for_vis, sigma),
                   None, "gaussian-visibility")
     phase_for_prob = phase_weak if weak_ok else phase_full
-    if abs(phase_for_prob) * sys.float_info.epsilon >= 1.0:
-        raise GuardViolation(
-            f"phase {phase_for_prob!r} rad has a float64 spacing of "
-            f"{math.ulp(phase_for_prob)!r} rad: sin(phase) and the detection "
-            "probabilities have no correct digit.")
+    _guard_phase_resolution(phase_for_prob)
     report.output("photon_prob_mono", interference.single_photon_prob(phase_for_prob),
                   None, "single-photon-prob")
     report.output("photon_prob_gaussian",
@@ -321,6 +345,7 @@ def cmd_hom(scenario: Scenario, args: argparse.Namespace) -> RunReport:
 
     report.output("delta_t", delta_t, "m", "hom-delay-fiber-loop")
     delta_phi = packet.omega0 * delta_t
+    _guard_phase_resolution(delta_phi)
     report.output("delta_phi", delta_phi, "rad", "single-photon-prob")
     report.output("photon_prob_mono", interference.single_photon_prob(delta_phi),
                   None, "single-photon-prob")
@@ -414,7 +439,7 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     return report
 
 
-def _run_fig1(scenario: Scenario) -> tuple[str, list[str]]:
+def _run_fig1(scenario: Scenario) -> tuple[str, list, list[str]]:
     source = scenario.source()
     omega0 = float(scenario.require("light.omega0"))
     sigma = float(scenario.require("light.sigma"))
@@ -422,9 +447,6 @@ def _run_fig1(scenario: Scenario) -> tuple[str, list[str]]:
         source, omega0, sigma,
         r_max=float(scenario.require("scan.r_max")),
         n_points=int(scenario.require("scan.points")))
-    lines = ["r_over_rs,phase_rad,visibility"]
-    for r_rel, phase, vis in zip(scan.r_over_rs, scan.phase_rad, scan.visibility):
-        lines.append(f"{r_rel:.17g},{phase:.17g},{vis:.17g}")
     warns = []
     probe = kerr.KerrPoint(source=source, r=100.0 * source.r_s)
     delay = kerr.kerr_time_delay_full(probe, 2.0 * math.pi * probe.r)
@@ -435,10 +457,11 @@ def _run_fig1(scenario: Scenario) -> tuple[str, list[str]]:
             "WARN target-value-unreproduced: quoted visibility >= 0.99 at "
             f"r/r_s = 100 is not reproduced: these inputs give {vis_probe:.4g} "
             f"(would need sigma <= {sigma_needed:.4g} rad/m).")
-    return "\n".join(lines) + "\n", warns
+    return ("r_over_rs,phase_rad,visibility",
+            [scan.r_over_rs, scan.phase_rad, scan.visibility], warns)
 
 
-def _run_fig3(scenario: Scenario) -> str:
+def _run_fig3(scenario: Scenario) -> tuple[str, list, list[str]]:
     sigma = float(scenario.require("light.sigma"))
     radius = float(scenario.require("turntable.radius"))
     length = float(scenario.require("arms.length"))
@@ -447,14 +470,13 @@ def _run_fig3(scenario: Scenario) -> str:
     if points < 2:
         raise ValueError(f"sweep.points must be >= 2, got {points}")
     turntable._check_speed(abs(omega_max) * radius / _C)  # fastest rim of the sweep
-    lines = ["omega_rad_s,coincidence_probability"]
+    omegas, probs = [], []
     for i in range(points):
         omega_rot = omega_max * i / (points - 1) + 0.0  # -0.0 -> 0.0 on the first row
-        v = omega_rot * radius / _C
-        delta_t = 4.0 * v * length / (1.0 - v * v)
-        prob = interference.hom_coincidence_gaussian(sigma, delta_t)
-        lines.append(f"{omega_rot:.17g},{prob:.17g}")
-    return "\n".join(lines) + "\n"
+        delta_t = turntable.fiber_loop_delay(omega_rot * radius / _C, length)
+        omegas.append(omega_rot)
+        probs.append(interference.hom_coincidence_gaussian(sigma, delta_t))
+    return "omega_rad_s,coincidence_probability", [omegas, probs], []
 
 
 def _run_verify() -> tuple[str, bool]:
@@ -472,6 +494,14 @@ def _run_verify() -> tuple[str, bool]:
     lines.append(f"verify: {passed}/{len(results)} checks passed")
     return "\n".join(lines) + "\n", passed == len(results)
 
+
+# command -> (defaults, runner, {parsed flag: scenario key})
+_FIGURES = {
+    "fig1": (BLACK_HOLE_DEFAULTS, _run_fig1,
+             {"r_max": "scan.r_max", "points": "scan.points"}),
+    "fig3": (FIBER_LOOP_DEFAULTS, _run_fig3,
+             {"omega_max": "sweep.omega_max", "points": "sweep.points"}),
+}
 
 _COMMANDS = {
     "kerr": (EARTH_SURFACE_DEFAULTS, cmd_kerr),
@@ -542,31 +572,20 @@ def main(argv: list[str] | None = None) -> int:
 
         config = load_config(args.config) if args.config is not None else {}
         overrides = dict(parse_override(item) for item in args.overrides)
-        if args.command == "fig1":
-            if args.r_max is not None:
-                overrides["scan.r_max"] = args.r_max
-            if args.points is not None:
-                overrides["scan.points"] = args.points
-            scenario = Scenario.assemble(BLACK_HOLE_DEFAULTS, config, overrides)
-            csv_text, warns = _run_fig1(scenario)
+        if args.command in _FIGURES:
+            defaults, runner, flags = _FIGURES[args.command]
+            for flag, key in flags.items():
+                if getattr(args, flag) is not None:
+                    overrides[key] = getattr(args, flag)
+            scenario = Scenario.assemble(defaults, config, overrides)
+            header, columns, warns = runner(scenario)  # validates before any file opens
             for line in warns:
                 sys.stderr.write(line + "\n")
-            if args.csv is not None:
-                _write_text(args.csv, csv_text)
+            if args.csv is None:
+                _write_table(sys.stdout, header, columns)
             else:
-                sys.stdout.write(csv_text)
-            return 0
-        if args.command == "fig3":
-            if args.omega_max is not None:
-                overrides["sweep.omega_max"] = args.omega_max
-            if args.points is not None:
-                overrides["sweep.points"] = args.points
-            scenario = Scenario.assemble(FIBER_LOOP_DEFAULTS, config, overrides)
-            csv_text = _run_fig3(scenario)
-            if args.csv is not None:
-                _write_text(args.csv, csv_text)
-            else:
-                sys.stdout.write(csv_text)
+                with open(args.csv, "w", newline="\n") as handle:
+                    _write_table(handle, header, columns)
             return 0
 
         defaults, runner = _COMMANDS[args.command]

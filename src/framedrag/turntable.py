@@ -35,6 +35,7 @@ __all__ = [
     "min_velocity_for_visibility",
     "windings_for_visibility_loss",
     "winding_arm_length",
+    "fiber_loop_delay",
     "winding_hom_exponent",
     "two_way_phase_turntable",
     "g_force",
@@ -253,14 +254,21 @@ def winding_arm_length(r_t: float, v: float, windings: int = 0) -> float:
     return (2 * windings + 1) * math.pi * r_t * math.sqrt(1.0 - v * v)
 
 
+def fiber_loop_delay(v: float, length: float) -> float:
+    """HOM delay 4 v L / (1 - v^2) between the arms of a rotating loop [hom-delay-fiber-loop].
+
+    No speed check: callers validate v once (a sweep checks its fastest rim).
+    """
+    return 4.0 * v * length / (1.0 - v * v)
+
+
 def winding_hom_exponent(sigma: float, v: float, r_t: float, windings: int = 0) -> float:
     """Coincidence-dip exponent sigma^2 dt^2 / 2 for the wound-fiber layout.
 
     Equals 8 sigma^2 v^2 (2N+1)^2 pi^2 r_t^2 / (1 - v^2); crossing 2 marks
     the significant-loss threshold used by min_velocity_for_visibility.
     """
-    length = winding_arm_length(r_t, v, windings)
-    delta_t = 4.0 * v * length / (1.0 - v * v)
+    delta_t = fiber_loop_delay(v, winding_arm_length(r_t, v, windings))
     return 0.5 * (sigma * delta_t) ** 2
 
 

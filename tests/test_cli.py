@@ -2,12 +2,15 @@
 
 import math
 import sys
+import tracemalloc
 
 import pytest
 
-from framedrag import cli
+from framedrag import cli, kerr
+from framedrag.constants import CONSTANTS
 from framedrag.interference import hom_coincidence_gaussian
 from framedrag.reference import CheckResult
+from framedrag.scenario import BLACK_HOLE_DEFAULTS, FIBER_LOOP_DEFAULTS, Scenario
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +232,77 @@ def test_fig1_reports_unmet_visibility_target(capsys):
     assert float(first[2]) == 0.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--points", "1"], "n_points must be at least 2, got 1"),
+    (["--set", "light.sigma=-1"], "sigma must be finite and positive, got -1.0"),
+], ids=["points-1", "negative-sigma"])
+def test_fig1_rejects_bad_scan(capsys, tmp_path, argv, message):
+    path = tmp_path / "fig1.csv"
+    for extra in ([], ["--csv", str(path)]):
+        code, out, err = run_cli(capsys, "fig1", *argv, *extra)
+        assert code == 2 and out == ""
+        assert err == f"ERROR validation: {message}\n"
+    assert not path.exists()
+
+
+def _fig1_rows(points):
+    # the scan arrays rendered one numpy scalar at a time
+    scenario = Scenario.assemble(BLACK_HOLE_DEFAULTS, {}, {"scan.points": points})
+    scan = kerr.blackhole_scan(
+        scenario.source(), scenario.require("light.omega0"),
+        scenario.require("light.sigma"), r_max=scenario.require("scan.r_max"),
+        n_points=points)
+    return [f"{r:.17g},{phase:.17g},{vis:.17g}"
+            for r, phase, vis in zip(scan.r_over_rs, scan.phase_rad, scan.visibility)]
+
+
+def _fig3_rows(points):
+    # the sweep from the scalar formulas, delay 4 v L / (1 - v^2) written out
+    d = FIBER_LOOP_DEFAULTS
+    rows = []
+    for i in range(points):
+        omega = d["sweep.omega_max"] * i / (points - 1)
+        v = omega * d["turntable.radius"] / CONSTANTS.c
+        delta_t = 4.0 * v * d["arms.length"] / (1.0 - v * v)
+        rows.append(f"{omega:.17g},{hom_coincidence_gaussian(d['light.sigma'], delta_t):.17g}")
+    return rows
+
+
+@pytest.mark.parametrize("command, header, rows", [
+    ("fig1", "r_over_rs,phase_rad,visibility", _fig1_rows),
+    ("fig3", "omega_rad_s,coincidence_probability", _fig3_rows),
+])
+@pytest.mark.parametrize("points", [
+    cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1, 2 * cli._CSV_BLOCK + 3,
+], ids=["block-1", "block", "block+1", "2block+3"])
+def test_figure_table_is_byte_exact_across_block_edges(capsys, tmp_path, command,
+                                                       header, rows, points):
+    expected = "\n".join([header, *rows(points)]) + "\n"
+    code, out, _ = run_cli(capsys, command, "--points", str(points))
+    assert code == 0 and out == expected
+    path = tmp_path / f"{command}.csv"
+    code, out, _ = run_cli(capsys, command, "--points", str(points), "--csv", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("command, limit_mb", [("fig1", 12.0), ("fig3", 10.0)])
+def test_figure_export_peak_allocation(capsys, tmp_path, command, limit_mb):
+    # one 1e5-point table is ~6 MB of text; streaming it in blocks keeps the
+    # peak near the columns themselves, not the columns plus two text copies
+    path = tmp_path / f"{command}.csv"
+    assert cli.main([command, "--points", "64", "--csv", str(path)]) == 0  # warm imports
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--points", "100000", "--csv", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= limit_mb * 1e6
+
+
 def test_fig1_sugar_flags(capsys):
     code, out, _ = run_cli(capsys, "fig1", "--points", "64", "--r-max", "500")
     assert code == 0
@@ -292,6 +366,25 @@ def test_kerr_phase_just_under_float_resolution_still_reports(capsys):
         "--set", "point.r=30000.6")
     assert code == 0 and err == ""
     phase = parse_report(out)["phase_full"]
+    assert 0.9 / sys.float_info.epsilon < phase < 1.0 / sys.float_info.epsilon
+    assert "photon_prob_mono" in out
+
+
+def test_hom_phase_beyond_float_resolution_is_a_named_guard(capsys, tmp_path):
+    # delta_phi = 2e18 rad, where one float64 step is 256 rad
+    path = tmp_path / "hom.csv"
+    code, out, err = run_cli(capsys, "hom", "--set", "interference.delta_t=1e12",
+                             "--csv", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ERROR guard: phase 2e+18 rad has a float64 spacing of 256.0 rad")
+    assert not path.exists()
+
+
+def test_hom_phase_just_under_float_resolution_still_reports(capsys):
+    code, out, err = run_cli(capsys, "hom", "--set", "interference.delta_t=2.2e9")
+    assert code == 0 and err == ""
+    phase = parse_report(out)["delta_phi"]
     assert 0.9 / sys.float_info.epsilon < phase < 1.0 / sys.float_info.epsilon
     assert "photon_prob_mono" in out
 

@@ -55,5 +55,18 @@ def test_closed_form_commands_load_no_heavy_module(argv):
     assert _probe(argv) == (0, expected)
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--points", "64"],
+    ["fig3"],
+])
+def test_figure_csv_export_loads_no_further_heavy_module(argv, tmp_path):
+    # the table writer turns array blocks into floats with their own tolist(),
+    # so writing fig3's plain lists to a file must not pull numpy in
+    expected = ["numpy"] if argv[0] == "fig1" else []
+    path = tmp_path / "table.csv"
+    assert _probe([*argv, "--csv", str(path)]) == (0, expected)
+    assert path.stat().st_size > 0
+
+
 def test_verify_still_loads_scipy_and_mpmath():
     assert _probe(["verify"]) == (0, ["mpmath", "numpy", "scipy"])
