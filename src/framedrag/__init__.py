@@ -17,7 +17,7 @@ from .constants import (
 )
 from .errors import GuardViolation
 from .fiber import DispersionCoefficients, FiberArms, RefractiveModel
-from .interference import InterferenceResult, Wavepacket
+from .interference import Wavepacket
 from .kerr import KerrPoint, LightSpeedPair, MetricComponents, ScanResult
 from .turntable import EquivalenceResult, TurntableConfig
 
@@ -33,7 +33,6 @@ __all__ = [
     "DispersionCoefficients",
     "FiberArms",
     "RefractiveModel",
-    "InterferenceResult",
     "Wavepacket",
     "KerrPoint",
     "LightSpeedPair",

@@ -27,6 +27,7 @@ from .scenario import (
     FEASIBILITY_DEFAULTS,
     FIBER_LOOP_DEFAULTS,
     HOM_DEFAULTS,
+    PARAMETERS,
     Scenario,
     load_config,
     parse_override,
@@ -34,33 +35,6 @@ from .scenario import (
 
 _C = CONSTANTS.c
 _CSV_BLOCK = 4096  # rows rendered per write by _write_table
-
-INPUT_UNITS = {
-    "source.rs": "m",
-    "source.a": "m",
-    "source.mass": "kg",
-    "source.angular_momentum": "kg m^2/s",
-    "point.r": "m",
-    "path.length": "m",
-    "light.omega0": "rad/m",
-    "light.sigma": "rad/m",
-    "turntable.radius": "m",
-    "turntable.omega": "rad/s",
-    "turntable.velocity": "c",
-    "turntable.windings": None,
-    "arms.length": "m",
-    "arms.delta_length": "m",
-    "medium.a": "rad/m",
-    "medium.b": None,
-    "medium.k0": "rad/m",
-    "interference.delta_t": "m",
-    "interference.bins": None,
-    "scan.r_max": None,
-    "scan.points": None,
-    "sweep.omega_max": "rad/s",
-    "sweep.points": None,
-}
-
 
 def _fmt(value) -> str:
     if isinstance(value, int):
@@ -82,7 +56,7 @@ class RunReport:
 
     def echo_inputs(self, scenario: Scenario) -> None:
         for key, value in sorted(scenario.effective().items()):
-            unit = INPUT_UNITS.get(key)
+            unit = PARAMETERS[key][1]
             suffix = f" {unit}" if unit else ""
             self._lines.append(f"input {key} = {_fmt(value)}{suffix}")
 
@@ -469,6 +443,9 @@ def _run_fig3(scenario: Scenario) -> tuple[str, list, list[str]]:
     points = int(scenario.require("sweep.points"))
     if points < 2:
         raise ValueError(f"sweep.points must be >= 2, got {points}")
+    for key, value in (("turntable.radius", radius), ("arms.length", length)):
+        if value <= 0.0:
+            raise ValueError(f"{key} must be positive, got {value!r}")
     turntable._check_speed(abs(omega_max) * radius / _C)  # fastest rim of the sweep
     omegas, probs = [], []
     for i in range(points):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .turntable import sagnac_phase
+from .turntable import _check_speed, sagnac_phase
 
 __all__ = [
     "RefractiveModel",
@@ -57,11 +57,6 @@ def _direction_sign(direction: str) -> float:
         raise ValueError(
             f"direction must be one of {tuple(_DIR_SIGNS)}, got {direction!r}"
         ) from None
-
-
-def _check_speed(v: float) -> None:
-    if not 0.0 <= v < 1.0 or not math.isfinite(v):
-        raise ValueError(f"medium speed must satisfy 0 <= v < 1, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from .errors import GuardViolation
 
 __all__ = [
     "Wavepacket",
-    "InterferenceResult",
     "SpectrumNormalizationWarning",
     "load_spectrum",
     "single_photon_prob",
@@ -122,22 +121,6 @@ class Wavepacket:
             u = (np.asarray(omega, dtype=float) - self.omega0) / self.sigma
             return np.exp(-u * u) / (math.sqrt(math.pi) * self.sigma)
         return np.interp(omega, self.grid_omega, self.grid_density, left=0.0, right=0.0)
-
-
-@dataclass(frozen=True)
-class InterferenceResult:
-    """One interference scenario: delay, phase, visibility, probability."""
-
-    delta_t: float
-    delta_phi: float
-    visibility: float
-    probability: float
-
-    def __post_init__(self) -> None:
-        if not -1.0e-12 <= self.visibility <= 1.0 + 1.0e-12:
-            raise ValueError(f"visibility out of [0, 1]: {self.visibility!r}")
-        if not -1.0e-12 <= self.probability <= 1.0 + 1.0e-12:
-            raise ValueError(f"probability out of [0, 1]: {self.probability!r}")
 
 
 def _trapz_weights(grid: np.ndarray) -> np.ndarray:

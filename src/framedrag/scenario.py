@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .constants import CONSTANTS, GravSource, PhysicalConstants
+from .constants import CONSTANTS, GravSource
 from .fiber import FiberArms, RefractiveModel
 from .interference import Wavepacket
 from .kerr import KerrPoint
@@ -21,7 +21,7 @@ from .turntable import TurntableConfig
 
 __all__ = [
     "Scenario",
-    "KNOWN_KEYS",
+    "PARAMETERS",
     "load_config",
     "parse_config",
     "parse_override",
@@ -33,50 +33,43 @@ __all__ = [
     "HOM_DEFAULTS",
 ]
 
-_INT_KEYS = frozenset({
-    "turntable.windings",
-    "interference.bins",
-    "scan.points",
-    "sweep.points",
-})
-
-KNOWN_KEYS = frozenset({
-    "source.rs",
-    "source.a",
-    "source.mass",
-    "source.angular_momentum",
-    "point.r",
-    "path.length",
-    "light.omega0",
-    "light.sigma",
-    "turntable.radius",
-    "turntable.omega",
-    "turntable.velocity",
-    "turntable.windings",
-    "arms.length",
-    "arms.delta_length",
-    "medium.a",
-    "medium.b",
-    "medium.k0",
-    "interference.delta_t",
-    "interference.bins",
-    "scan.r_max",
-    "scan.points",
-    "sweep.omega_max",
-    "sweep.points",
-}) | _INT_KEYS
+# Every config key, with its value type and the unit its input echo prints.
+PARAMETERS: Mapping[str, tuple[type, str | None]] = {
+    "source.rs": (float, "m"),
+    "source.a": (float, "m"),
+    "source.mass": (float, "kg"),
+    "source.angular_momentum": (float, "kg m^2/s"),
+    "point.r": (float, "m"),
+    "path.length": (float, "m"),
+    "light.omega0": (float, "rad/m"),
+    "light.sigma": (float, "rad/m"),
+    "turntable.radius": (float, "m"),
+    "turntable.omega": (float, "rad/s"),
+    "turntable.velocity": (float, "c"),
+    "turntable.windings": (int, None),
+    "arms.length": (float, "m"),
+    "arms.delta_length": (float, "m"),
+    "medium.a": (float, "rad/m"),
+    "medium.b": (float, None),
+    "medium.k0": (float, "rad/m"),
+    "interference.delta_t": (float, "m"),
+    "interference.bins": (int, None),
+    "scan.r_max": (float, None),
+    "scan.points": (int, None),
+    "sweep.omega_max": (float, "rad/s"),
+    "sweep.points": (int, None),
+}
 
 
 def _parse_value(key: str, raw: str) -> float | int:
+    kind = PARAMETERS[key][0]
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        value = float(raw)
+        value = kind(raw)
     except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ValueError(f"config key {key!r} expects {kind}, got {raw!r}") from None
-    if not math.isfinite(value):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"config key {key!r} expects {noun}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
         raise ValueError(f"config key {key!r} must be finite, got {raw!r}")
     return value
 
@@ -87,7 +80,7 @@ def parse_override(item: str) -> tuple[str, float | int]:
         raise ValueError(f"override must look like key=value, got {item!r}")
     key, raw = item.split("=", 1)
     key = key.strip()
-    if key not in KNOWN_KEYS:
+    if key not in PARAMETERS:
         raise ValueError(f"unknown config key {key!r}")
     return key, _parse_value(key, raw)
 
@@ -185,7 +178,7 @@ class Scenario:
         user.update(config or {})
         user.update(overrides or {})
         for key in user:
-            if key not in KNOWN_KEYS:
+            if key not in PARAMETERS:
                 raise ValueError(f"unknown config key {key!r}")
         return cls(defaults=dict(defaults), user=user)
 
@@ -240,33 +233,22 @@ class Scenario:
         return Wavepacket.gaussian(float(self.require("light.omega0")),
                                    float(self.require("light.sigma")))
 
-    def turntable(self, constants: PhysicalConstants = CONSTANTS) -> TurntableConfig:
+    def turntable(self) -> TurntableConfig:
         r_t = float(self.require("turntable.radius"))
         windings = int(self.get("turntable.windings", 0))
-        arm = self.get("arms.length")
-        arm = float(arm) if arm is not None else None
-        omega_user = "turntable.omega" in self.user
-        vel_user = "turntable.velocity" in self.user
-        if omega_user and vel_user:
-            raise ValueError(
-                "give exactly one of turntable.omega and turntable.velocity"
-            )
-        if vel_user:
-            v = float(self.user["turntable.velocity"])
-        elif omega_user:
+        given = {"turntable.omega", "turntable.velocity"} & self.user.keys()
+        if len(given) == 2:
+            raise ValueError("give exactly one of turntable.omega and turntable.velocity")
+        rates = self.user if given else self.defaults
+        if "turntable.velocity" in rates:
+            return TurntableConfig.from_velocity(
+                r_t, float(rates["turntable.velocity"]),
+                speed_of_light=CONSTANTS.c, windings=windings)
+        if "turntable.omega" in rates:
             return TurntableConfig.from_angular_frequency(
-                r_t, float(self.user["turntable.omega"]),
-                speed_of_light=constants.c, windings=windings, arm_length=arm)
-        elif "turntable.velocity" in self.defaults:
-            v = float(self.defaults["turntable.velocity"])
-        elif "turntable.omega" in self.defaults:
-            return TurntableConfig.from_angular_frequency(
-                r_t, float(self.defaults["turntable.omega"]),
-                speed_of_light=constants.c, windings=windings, arm_length=arm)
-        else:
-            raise ValueError("missing turntable.omega or turntable.velocity")
-        return TurntableConfig.from_velocity(
-            r_t, v, speed_of_light=constants.c, windings=windings, arm_length=arm)
+                r_t, float(rates["turntable.omega"]),
+                speed_of_light=CONSTANTS.c, windings=windings)
+        raise ValueError("missing turntable.omega or turntable.velocity")
 
     def refractive_model(self) -> RefractiveModel:
         return RefractiveModel(
@@ -275,11 +257,11 @@ class Scenario:
             k0=float(self.require("medium.k0")),
         )
 
-    def fiber_arms(self, constants: PhysicalConstants = CONSTANTS) -> FiberArms:
-        table = self.turntable(constants)
+    def fiber_arms(self) -> FiberArms:
+        v = self.turntable().v
         return FiberArms(
             length=float(self.require("arms.length")),
             delta_length=float(self.get("arms.delta_length", 0.0)),
             model=self.refractive_model(),
-            v=table.v,
+            v=v,
         )

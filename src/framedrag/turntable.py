@@ -55,15 +55,13 @@ class TurntableConfig:
 
     Exactly one of ``omega_rot`` (rad/s) or ``v`` (fraction of c) is given;
     the other is derived through v = Omega r_t / c.  ``windings`` counts
-    extra fiber loops per arm; arm lengths default to the half-way meeting
-    convention L = (2N+1) pi r_t sqrt(1-v^2).
+    extra fiber loops per arm.
     """
 
     r_t: float
     v: float
     omega_rot: float
     windings: int = 0
-    arm_length: float | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.r_t) or self.r_t <= 0.0:
@@ -71,29 +69,19 @@ class TurntableConfig:
         _check_speed(self.v)
         if self.windings < 0:
             raise ValueError(f"windings must be >= 0, got {self.windings!r}")
-        if self.arm_length is not None and self.arm_length <= 0.0:
-            raise ValueError(f"arm_length must be positive, got {self.arm_length!r}")
 
     @classmethod
     def from_velocity(cls, r_t: float, v: float, *, speed_of_light: float,
-                      windings: int = 0, arm_length: float | None = None) -> "TurntableConfig":
+                      windings: int = 0) -> "TurntableConfig":
         _check_speed(v)
         omega = v * speed_of_light / r_t
-        return cls(r_t=r_t, v=v, omega_rot=omega, windings=windings, arm_length=arm_length)
+        return cls(r_t=r_t, v=v, omega_rot=omega, windings=windings)
 
     @classmethod
     def from_angular_frequency(cls, r_t: float, omega_rot: float, *, speed_of_light: float,
-                               windings: int = 0, arm_length: float | None = None) -> "TurntableConfig":
+                               windings: int = 0) -> "TurntableConfig":
         v = omega_rot * r_t / speed_of_light
-        return cls(r_t=r_t, v=v, omega_rot=omega_rot, windings=windings, arm_length=arm_length)
-
-    @property
-    def default_arm_length(self) -> float:
-        return winding_arm_length(self.r_t, self.v, self.windings)
-
-    @property
-    def effective_arm_length(self) -> float:
-        return self.arm_length if self.arm_length is not None else self.default_arm_length
+        return cls(r_t=r_t, v=v, omega_rot=omega_rot, windings=windings)
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,16 @@ def test_config_file_and_set_precedence(capsys, tmp_path):
     assert "input light.sigma = 9900 rad/m" in out
 
 
+def test_input_echo_units_of_keys_outside_the_golden_set(capsys):
+    code, out, _ = run_cli(capsys, "kerr", "--set", "source.mass=5.97e24",
+                           "--set", "source.angular_momentum=7.07e33",
+                           "--set", "turntable.velocity=1e-9")
+    assert code == 0
+    assert "input source.mass = 5.9700000000000003e+24 kg\n" in out
+    assert "input source.angular_momentum = 7.0699999999999999e+33 kg m^2/s\n" in out
+    assert "input turntable.velocity = 1.0000000000000001e-09 c\n" in out
+
+
 def test_report_csv(capsys, tmp_path):
     path = tmp_path / "fiber.csv"
     code, out, _ = run_cli(capsys, "fiber", "--csv", str(path))
@@ -208,7 +218,11 @@ def test_fig3_negative_sweep_starts_at_positive_zero(capsys):
     (["--points", "0"], "sweep.points must be >= 2, got 0"),
     (["--points", "-2"], "sweep.points must be >= 2, got -2"),
     (["--omega-max", "3e9"], "tangential speed must satisfy 0 <= v < 1"),
-], ids=["points-0", "points-negative", "superluminal-rim"])
+    (["--set", "arms.length=-1", "--points", "3"], "arms.length must be positive, got -1.0"),
+    (["--set", "arms.length=0"], "arms.length must be positive, got 0.0"),
+    (["--set", "turntable.radius=-0.2"], "turntable.radius must be positive, got -0.2"),
+], ids=["points-0", "points-negative", "superluminal-rim", "arm-negative", "arm-zero",
+        "radius-negative"])
 def test_fig3_rejects_bad_sweep(capsys, tmp_path, argv, message):
     path = tmp_path / "fig3.csv"
     for extra in ([], ["--csv", str(path)]):

@@ -7,8 +7,11 @@ import pytest
 
 from framedrag import cli
 from framedrag.formulary import ANCHORS, anchor
+from framedrag.scenario import PARAMETERS
 
-DOCS = Path(__file__).resolve().parents[1] / "docs" / "formulas.md"
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ROOT / "docs" / "formulas.md"
+README = ROOT / "README.md"
 ANCHOR_RE = re.compile(r"\[([a-z0-9-]+)\]")
 
 
@@ -16,6 +19,13 @@ def test_anchor_lookup():
     assert anchor("sagnac-phase").startswith("dPhi")
     with pytest.raises(KeyError, match="unregistered"):
         anchor("made-up-tag")
+
+
+def test_readme_parameter_table_lists_every_key():
+    section = README.read_text().split("### Parameters", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    documented = re.findall(r"`([a-z0-9_]+\.[a-z0-9_]+)`", "".join(rows))
+    assert sorted(documented) == sorted(PARAMETERS)
 
 
 def test_every_anchor_is_documented():

@@ -31,8 +31,8 @@ SKIPPED_POOLS = ("scan-fig1", "scan-fig3")
 FIGURES = ("fig1", "fig3")
 
 
-def _digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _run(argv: list[str], csv_path: Path | None) -> dict:
@@ -42,11 +42,10 @@ def _run(argv: list[str], csv_path: Path | None) -> dict:
         rc = cli.main(argv + extra)
     stdout = out.getvalue()
     verbatim = argv[0] not in FIGURES and csv_path is None  # report text, once
-    run = {"rc": rc, "stdout": stdout if verbatim else _digest(stdout),
+    run = {"rc": rc, "stdout": stdout if verbatim else _digest(stdout.encode("utf-8")),
            "stderr": err.getvalue()}
     if csv_path is not None:
-        run["csv"] = (_digest(csv_path.read_text(encoding="utf-8"))
-                      if csv_path.exists() else None)
+        run["csv"] = _digest(csv_path.read_bytes()) if csv_path.exists() else None
     return run
 
 

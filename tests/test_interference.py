@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from framedrag import _kernels, interference
 from framedrag.errors import GuardViolation
 from framedrag.interference import (
-    InterferenceResult,
     SpectrumNormalizationWarning,
     Wavepacket,
     fock_grid,
@@ -239,18 +238,6 @@ def test_wavepacket_validation():
         Wavepacket.tabulated([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="length >= 2"):
         Wavepacket.tabulated([1.0], [1.0])
-
-
-def test_interference_result_validation():
-    res = InterferenceResult(delta_t=1.0e-9, delta_phi=2.0e-3,
-                             visibility=1.0, probability=0.5)
-    assert res.visibility == 1.0
-    with pytest.raises(ValueError, match="visibility"):
-        InterferenceResult(delta_t=0.0, delta_phi=0.0,
-                           visibility=1.5, probability=0.5)
-    with pytest.raises(ValueError, match="probability"):
-        InterferenceResult(delta_t=0.0, delta_phi=0.0,
-                           visibility=0.5, probability=-0.5)
 
 
 def test_load_spectrum_roundtrip(tmp_path):

@@ -22,6 +22,10 @@ def test_parse_override_types():
     key, value = parse_override("scan.points=128")
     assert value == 128 and isinstance(value, int)
     assert parse_override(" light.sigma = 3500 ") == ("light.sigma", 3500.0)
+    for key in ("turntable.windings", "interference.bins", "scan.points", "sweep.points"):
+        assert isinstance(parse_override(f"{key}=3")[1], int), key
+        with pytest.raises(ValueError, match="an integer"):
+            parse_override(f"{key}=3.5")
 
 
 @pytest.mark.parametrize("item,match", [
@@ -155,7 +159,6 @@ def test_turntable_windings_and_arm():
         FIBER_LOOP_DEFAULTS, overrides={"turntable.windings": 3})
     table = scenario.turntable()
     assert table.windings == 3
-    assert table.arm_length == 1.0e4  # arms.length doubles as the arm length
 
 
 def test_fiber_arms_builder():
