@@ -1,12 +1,13 @@
 """Byte-exact CLI golden: exit code, stdout, stderr and CSV for recorded inputs.
 
 The inputs are the default, main and hold-out inputs of
-``layerbench/reference.json``, less two groups: ``verify`` (its ``%.3e``
-margin digits are not part of the output contract) and the ``scan-fig*``
-inputs at 1e5 points (the block-edge test in ``test_cli.py`` covers that
-render).  Each input runs twice, without and with ``--csv``.  Report text
-and stderr are stored verbatim; figure tables, CSV files and the stdout of
-the ``--csv`` run (a repeat of the report) as SHA-256 digests.
+``layerbench/reference.json``, less the ``scan-fig*`` inputs at 1e5 points
+(the block-edge test in ``test_cli.py`` covers that render).  Each input
+runs twice, without and with ``--csv``.  Report text and stderr are stored
+verbatim; figure tables, CSV files and the stdout of the ``--csv`` run (a
+repeat of the report) as SHA-256 digests.  ``verify`` output is compared
+with its ``%.3e`` margin digits masked, as ``layerbench/check.py`` does:
+check names, PASS/FAIL, the WARN lines and the summary stay exact.
 
 Re-record, only at a commit whose outputs are known to be right:
 
@@ -17,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -29,10 +31,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 SOURCE = ROOT / "layerbench" / "reference.json"
 SKIPPED_POOLS = ("scan-fig1", "scan-fig3")
 FIGURES = ("fig1", "fig3")
+MARGIN = re.compile(r"\d\.\d{3}e[-+]\d{2,3}")  # the %.3e digits of a verify check line
 
 
 def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _mask(text: str) -> str:
+    return MARGIN.sub("#.###e###", text)
 
 
 def _run(argv: list[str], csv_path: Path | None) -> dict:
@@ -41,18 +48,24 @@ def _run(argv: list[str], csv_path: Path | None) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv + extra)
     stdout = out.getvalue()
+    masked = argv[0] == "verify"
+    if masked:
+        stdout = _mask(stdout)
     verbatim = argv[0] not in FIGURES and csv_path is None  # report text, once
     run = {"rc": rc, "stdout": stdout if verbatim else _digest(stdout.encode("utf-8")),
            "stderr": err.getvalue()}
     if csv_path is not None:
-        run["csv"] = _digest(csv_path.read_bytes()) if csv_path.exists() else None
+        data = csv_path.read_bytes() if csv_path.exists() else None
+        if masked and data is not None:
+            data = _mask(data.decode("utf-8")).encode("utf-8")
+        run["csv"] = None if data is None else _digest(data)
     return run
 
 
 def _inputs() -> list[tuple[str, list[str]]]:
     reference = json.loads(SOURCE.read_text(encoding="utf-8"))
     cases = [(f"default-{cmd}", entry["argv"])
-             for cmd, entry in sorted(reference["defaults"].items()) if cmd != "verify"]
+             for cmd, entry in sorted(reference["defaults"].items())]
     for kind, pool in sorted(reference["pools"].items()):
         if kind in SKIPPED_POOLS:
             continue
