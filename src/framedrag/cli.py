@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Every run echoes its effective inputs, prints one line per derived
-quantity with the formulary anchor for that quantity in brackets, and
+quantity with its ``docs/formulas.md`` anchor in brackets, and
 keeps the output byte-deterministic (values at 17 significant digits,
-LF line endings).  Exit codes: 0 success, 2 invalid input or guard
-violation, 3 verification failure.
+LF line endings).  Exit codes: 0 success, 2 invalid input, guard
+violation or float64 overflow, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from pathlib import Path
 from . import fiber, interference, kerr, reference, turntable
 from .constants import CONSTANTS, GravSource
 from .errors import GuardViolation
-from .formulary import anchor
-from .interference import SpectrumNormalizationWarning, Wavepacket
+from .interference import SpectrumNormalizationWarning
 from .scenario import (
     BLACK_HOLE_DEFAULTS,
     EARTH_SURFACE_DEFAULTS,
@@ -61,7 +60,8 @@ class RunReport:
             self._lines.append(f"input {key} = {_fmt(value)}{suffix}")
 
     def output(self, name: str, value: float, unit: str | None, anchor_name: str) -> None:
-        anchor(anchor_name)  # unknown anchors are bugs; fail loudly
+        if not math.isfinite(value):
+            raise OverflowError(f"{name} = {value!r} is not finite")
         suffix = f" {unit}" if unit else ""
         self._lines.append(
             f"{name} = {_fmt(value)}{suffix} [{anchor_name}] (~{float(value):.4g})")
@@ -159,11 +159,11 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
                                   "is dragged into co-rotation (both signed "
                                   "speeds are positive).")
 
-    delay_full = kerr.kerr_time_delay_full(point, length)
-    if not math.isfinite(delay_full):
+    if metric.g_tt == 0.0:
         raise GuardViolation(
             f"divergent delay at g_tt = 0 (ergosphere boundary r = {point.r!r} m): "
             "the full-mode delay, phase and detection probability are undefined.")
+    delay_full = kerr.kerr_time_delay_full(point, length)
     report.output("delay_full", delay_full, "m", "kerr-delay-full")
     phase_full = kerr.kerr_phase_difference(point, length, omega0, mode="full")
     report.output("phase_full", phase_full, "rad", "kerr-phase-full")
@@ -238,8 +238,7 @@ def cmd_equivalence(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("v_equiv_leading", result.v_leading, "c", "equivalence-leading")
     report.output("v_equiv_si", result.v * _C, "m/s", "equivalence-leading")
     report.output("omega_equiv", result.v * _C / r_t, "rad/s", "angular-frequency")
-    report.output("g_force", turntable.g_force(result.v, r_t, speed_of_light=_C),
-                  "g0", "g-force")
+    report.output("g_force", turntable.g_force(result.v, r_t), "g0", "g-force")
 
     if _near(source.r_s, 0.009) and _near(source.a, 3.9) and _near(r, 100.0):
         report.warn(
@@ -263,14 +262,12 @@ def cmd_feasibility(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("v_min_si", v_min * _C, "m/s", "min-velocity")
     report.output("v_min_leading", v_min_leading, "c", "min-velocity-leading")
     report.output("omega_min", v_min * _C / radius, "rad/s", "angular-frequency")
-    report.output("g_force_min", turntable.g_force(v_min, radius, speed_of_light=_C),
-                  "g0", "g-force")
+    report.output("g_force_min", turntable.g_force(v_min, radius), "g0", "g-force")
 
     v_short, _ = turntable.min_velocity_for_visibility(radius, 10.0 * sigma,
                                                        table.windings)
     report.output("v_min_short_pulse", v_short * _C, "m/s", "min-velocity")
-    report.output("g_force_short_pulse",
-                  turntable.g_force(v_short, radius, speed_of_light=_C), "g0",
+    report.output("g_force_short_pulse", turntable.g_force(v_short, radius), "g0",
                   "g-force")
 
     needed = turntable.windings_for_visibility_loss(radius, sigma, table.v)
@@ -285,8 +282,7 @@ def cmd_feasibility(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     arms = scenario.fiber_arms()
     loop_length = float(scenario.require("arms.length"))
     report.output("coherence_length",
-                  fiber.coherence_length_required(loop_length, table.omega_rot,
-                                                  radius, speed_of_light=_C),
+                  fiber.coherence_length_required(loop_length, table.omega_rot, radius),
                   "m", "coherence-length")
     dip = fiber.hom_dip_shift(arms)
     report.output("dip_delta_t_total", dip.delta_t_total, "m", "dip-shift-total")
@@ -405,8 +401,7 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
                   fiber.downconverted_coincidence(sigma, coeffs, arms.length),
                   None, "downconverted-quadrature")
     report.output("coherence_length",
-                  fiber.coherence_length_required(arms.length, table.omega_rot,
-                                                  table.r_t, speed_of_light=_C),
+                  fiber.coherence_length_required(arms.length, table.omega_rot, table.r_t),
                   "m", "coherence-length")
     _warn_dip_residual(report, table.omega_rot, table.r_t, arms.delta_length,
                        dip.center_shift)
@@ -414,6 +409,8 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
 
 
 def _run_fig1(scenario: Scenario) -> tuple[str, list, list[str]]:
+    import numpy as np
+
     source = scenario.source()
     omega0 = float(scenario.require("light.omega0"))
     sigma = float(scenario.require("light.sigma"))
@@ -421,6 +418,11 @@ def _run_fig1(scenario: Scenario) -> tuple[str, list, list[str]]:
         source, omega0, sigma,
         r_max=float(scenario.require("scan.r_max")),
         n_points=int(scenario.require("scan.points")))
+    bad = ~np.isfinite(scan.phase_rad)  # a nan delay makes the visibility nan too
+    if bad.any():
+        r = float(scan.r_over_rs[bad][0])
+        raise OverflowError(f"phase_rad = {float(scan.phase_rad[bad][0])!r} is not finite "
+                            f"at r/r_s = {r!r}")
     warns = []
     probe = kerr.KerrPoint(source=source, r=100.0 * source.r_s)
     delay = kerr.kerr_time_delay_full(probe, 2.0 * math.pi * probe.r)
@@ -447,6 +449,8 @@ def _run_fig3(scenario: Scenario) -> tuple[str, list, list[str]]:
         if value <= 0.0:
             raise ValueError(f"{key} must be positive, got {value!r}")
     turntable._check_speed(abs(omega_max) * radius / _C)  # fastest rim of the sweep
+    if not math.isfinite(omega_max * (points - 1)):  # the largest product the rows form
+        raise OverflowError(f"sweep.omega_max * (sweep.points - 1) overflows: {omega_max!r}")
     omegas, probs = [], []
     for i in range(points):
         omega_rot = omega_max * i / (points - 1) + 0.0  # -0.0 -> 0.0 on the first row
@@ -577,6 +581,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"ERROR validation: {exc}\n")
+        return 2
+    except ArithmeticError as exc:
+        sys.stderr.write(f"ERROR overflow: these inputs leave the float64 range: {exc}\n")
         return 2
 
 

@@ -2,8 +2,8 @@
 
 Everything downstream works in geometric units (c = G = 1): lengths and
 times in metres, wavenumbers and angular frequencies in inverse metres,
-velocities as fractions of c.  SI values enter only through the explicit
-conversion helpers in this module.
+velocities as fractions of c.  SI masses and spins enter only through
+``GravSource.from_mass``; SI speeds and rates scale by ``CONSTANTS.c``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ __all__ = [
     "GravSource",
     "schwarzschild_radius",
     "spin_parameter",
-    "velocity_si_to_natural",
-    "velocity_natural_to_si",
 ]
 
 
@@ -42,15 +40,14 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-def schwarzschild_radius(mass: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def schwarzschild_radius(mass: float) -> float:
     """Schwarzschild radius r_s = 2 G M / c^2 of a mass in kg, in metres."""
     if not math.isfinite(mass) or mass < 0.0:
         raise ValueError(f"mass must be finite and non-negative, got {mass!r}")
-    return 2.0 * constants.G * mass / constants.c**2
+    return 2.0 * CONSTANTS.G * mass / CONSTANTS.c**2
 
 
-def spin_parameter(mass: float, angular_momentum: float,
-                   constants: PhysicalConstants = CONSTANTS) -> float:
+def spin_parameter(mass: float, angular_momentum: float) -> float:
     """Spin parameter a = J / (M c) in metres.
 
     ``angular_momentum`` is the SI spin angular momentum in kg m^2/s.
@@ -59,23 +56,7 @@ def spin_parameter(mass: float, angular_momentum: float,
         raise ValueError(f"mass must be finite and positive, got {mass!r}")
     if not math.isfinite(angular_momentum):
         raise ValueError("angular momentum must be finite")
-    return angular_momentum / (mass * constants.c)
-
-
-def velocity_si_to_natural(v_mps: float, constants: PhysicalConstants = CONSTANTS) -> float:
-    """Convert a velocity in m/s to a fraction of c.  Requires |v| < c."""
-    if not math.isfinite(v_mps):
-        raise ValueError("velocity must be finite")
-    if abs(v_mps) >= constants.c:
-        raise ValueError(f"|v| must be strictly below c, got {v_mps!r} m/s")
-    return v_mps / constants.c
-
-
-def velocity_natural_to_si(v: float, constants: PhysicalConstants = CONSTANTS) -> float:
-    """Convert a velocity from a fraction of c back to m/s."""
-    if not math.isfinite(v) or abs(v) >= 1.0:
-        raise ValueError(f"|v| must be strictly below 1, got {v!r}")
-    return v * constants.c
+    return angular_momentum / (mass * CONSTANTS.c)
 
 
 @dataclass(frozen=True)
@@ -102,10 +83,9 @@ class GravSource:
         return self.a <= 0.5 * self.r_s
 
     @classmethod
-    def from_mass(cls, mass: float, angular_momentum: float,
-                  constants: PhysicalConstants = CONSTANTS) -> "GravSource":
+    def from_mass(cls, mass: float, angular_momentum: float) -> "GravSource":
         """Build a source from SI mass (kg) and spin angular momentum (kg m^2/s)."""
         return cls(
-            r_s=schwarzschild_radius(mass, constants),
-            a=spin_parameter(mass, angular_momentum, constants),
+            r_s=schwarzschild_radius(mass),
+            a=spin_parameter(mass, angular_momentum),
         )

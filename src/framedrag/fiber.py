@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .turntable import _check_speed, sagnac_phase
+from .constants import CONSTANTS
+from .turntable import _check_speed, fiber_loop_delay, sagnac_phase
 
 __all__ = [
     "RefractiveModel",
@@ -40,8 +41,6 @@ __all__ = [
     "fiber_phase_difference",
     "hom_dip_shift",
     "coherence_length_required",
-    "loop_length_for_coherence",
-    "omega_for_coherence",
     "corrected_group_phase",
     "downconverted_coincidence",
     "downconverted_coincidence_closed",
@@ -63,20 +62,18 @@ def _direction_sign(direction: str) -> float:
 class RefractiveModel:
     """Index model n(k) = A/k + B with analytic derivatives.
 
-    ``k0`` is the reference wavenumber; ``k_min``/``k_max`` bound the
-    declared validity window (defaults: a decade either side of k0).
+    ``k0`` is the reference wavenumber; the model is valid on the window
+    [k0/10, 10 k0], a decade either side of it.
     """
 
     A: float
     B: float
     k0: float
-    k_min: float | None = None
-    k_max: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("A", "B", "k0", "k_min", "k_max"):
+        for name in ("A", "B", "k0"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.A < 0.0:
             raise ValueError(f"A must be >= 0, got {self.A!r}")
@@ -84,14 +81,6 @@ class RefractiveModel:
             raise ValueError(f"B must be >= 1, got {self.B!r}")
         if self.k0 <= 0.0:
             raise ValueError(f"k0 must be positive, got {self.k0!r}")
-        if self.k_min is None:
-            object.__setattr__(self, "k_min", self.k0 / 10.0)
-        if self.k_max is None:
-            object.__setattr__(self, "k_max", self.k0 * 10.0)
-        if not 0.0 < self.k_min < self.k_max:
-            raise ValueError(f"bad validity window [{self.k_min!r}, {self.k_max!r}]")
-        if not self.k_min <= self.k0 <= self.k_max:
-            raise ValueError(f"k0 = {self.k0!r} outside window [{self.k_min!r}, {self.k_max!r}]")
 
     @classmethod
     def fused_silica(cls) -> "RefractiveModel":
@@ -104,10 +93,9 @@ class RefractiveModel:
         return cls(A=0.0, B=n, k0=k0)
 
     def _check_window(self, k: float) -> None:
-        if not self.k_min <= k <= self.k_max:
-            raise ValueError(
-                f"k = {k!r} outside the model validity window [{self.k_min!r}, {self.k_max!r}]"
-            )
+        k_min, k_max = self.k0 / 10.0, self.k0 * 10.0
+        if not k_min <= k <= k_max:
+            raise ValueError(f"k = {k!r} outside the model validity window [{k_min!r}, {k_max!r}]")
 
     def n(self, k: float) -> float:
         self._check_window(k)
@@ -267,57 +255,36 @@ class DipShift:
     delta_t_total: float
     center_shift: float
     center_shift_approx: float
-    control_delay: float
 
 
-def hom_dip_shift(arms: FiberArms, control_delay: float | None = None) -> DipShift:
+def hom_dip_shift(arms: FiberArms) -> DipShift:
     """Total two-photon delay and residual dip-center shift for mismatched arms.
 
-    The raw delay is 4 v L/(1-v^2) + 2 dL n/(1-v^2); the control delay
-    (default -2 dL n, i.e. calibrated at standstill) cancels the static
+    The raw delay is 4 v L/(1-v^2) + 2 dL n/(1-v^2); the control arm,
+    calibrated at standstill, adds -2 dL n and cancels the static
     mismatch, leaving the residual center shift 2 dL n v^2/(1-v^2), whose
     small-v form 2 dL n v^2 is reported alongside.
     """
     v = arms.v
     n = arms.model.n(arms.model.k0)
     static = 2.0 * arms.delta_length * n
-    if control_delay is None:
-        control_delay = -static
     gamma2 = 1.0 - v * v
-    total = 4.0 * v * arms.length / gamma2 + static / gamma2 + control_delay
+    total = fiber_loop_delay(v, arms.length) + static / gamma2 - static
     shift = static * v * v / gamma2
     return DipShift(
         delta_t_total=total,
         center_shift=shift,
         center_shift_approx=static * v * v,
-        control_delay=control_delay,
     )
 
 
-def coherence_length_required(loop_length: float, omega_rot: float, radius: float, *,
-                              speed_of_light: float) -> float:
+def coherence_length_required(loop_length: float, omega_rot: float, radius: float) -> float:
     """Coherence length 4 pi L' Omega R / c for significant dip visibility loss."""
     if loop_length <= 0.0 or radius <= 0.0:
         raise ValueError(f"lengths must be positive, got {loop_length!r}, {radius!r}")
     if omega_rot < 0.0:
         raise ValueError(f"omega_rot must be >= 0, got {omega_rot!r}")
-    return 4.0 * math.pi * loop_length * omega_rot * radius / speed_of_light
-
-
-def loop_length_for_coherence(delta_x: float, omega_rot: float, radius: float, *,
-                              speed_of_light: float) -> float:
-    """Invert coherence_length_required for the loop length L'."""
-    if delta_x <= 0.0 or omega_rot <= 0.0 or radius <= 0.0:
-        raise ValueError("delta_x, omega_rot and radius must be positive")
-    return delta_x * speed_of_light / (4.0 * math.pi * omega_rot * radius)
-
-
-def omega_for_coherence(delta_x: float, loop_length: float, radius: float, *,
-                        speed_of_light: float) -> float:
-    """Invert coherence_length_required for the rotation rate Omega."""
-    if delta_x <= 0.0 or loop_length <= 0.0 or radius <= 0.0:
-        raise ValueError("delta_x, loop_length and radius must be positive")
-    return delta_x * speed_of_light / (4.0 * math.pi * loop_length * radius)
+    return 4.0 * math.pi * loop_length * omega_rot * radius / CONSTANTS.c
 
 
 def corrected_group_phase(omega0: float, v: float, length: float,
@@ -357,6 +324,10 @@ def downconverted_coincidence(sigma: float, coeffs: DispersionCoefficients,
         raise ValueError(f"sigma and length must be positive, got {sigma!r}, {length!r}")
     da = coeffs.delta_alpha
     bs = coeffs.beta_sum
+    half = 12.0 * sigma
+    bound = (abs(da) * half + abs(bs) * half * half) * length
+    if not math.isfinite(bound):
+        raise ValueError(f"integrand phase bound {bound!r} rad over +-12 sigma is not finite")
     norm = 1.0 / (math.sqrt(math.pi) * sigma)
 
     def integrand(w: float) -> float:
@@ -367,7 +338,6 @@ def downconverted_coincidence(sigma: float, coeffs: DispersionCoefficients,
                           math.sin((-da * w + bs * w * w) * length))
         return rho * 0.5 * abs(route_a - route_b) ** 2
 
-    half = 12.0 * sigma
     value, _ = quad(integrand, -half, half, epsabs=1.0e-13, epsrel=1.0e-11, limit=500)
     return 0.5 * value
 

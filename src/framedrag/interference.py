@@ -161,19 +161,19 @@ def gaussian_visibility(delta_t: float, sigma: float) -> float:
 
 
 def single_photon_prob_gaussian(delta_phi: float, omega0: float, sigma: float, *,
-                                guard: float = NARROWBAND_GUARD, force: bool = False) -> float:
+                                force: bool = False) -> float:
     """Closed-form detection probability (1 + exp(-(dPhi sigma/omega0)^2) sin dPhi)/2.
 
-    Valid for narrowband packets; the guard rejects sigma/omega0 >= 0.2 by
-    default (``force=True`` overrides).  The independent quadrature route
-    is ``single_photon_prob_quadrature``.
+    Valid for narrowband packets; the guard rejects sigma/omega0 >=
+    NARROWBAND_GUARD (0.2) unless ``force=True``.  The independent
+    quadrature route is ``single_photon_prob_quadrature``.
     """
     if omega0 <= 0.0 or sigma <= 0.0:
         raise ValueError(f"omega0 and sigma must be positive, got {omega0!r}, {sigma!r}")
-    if not force and sigma >= guard * omega0:
+    if not force and sigma >= NARROWBAND_GUARD * omega0:
         raise GuardViolation(
             f"narrowband assumption invalid: sigma/omega0 = {sigma / omega0:.3e}, "
-            f"guard = {guard:g} (use force/--override-guards)"
+            f"guard = {NARROWBAND_GUARD:g} (use force/--override-guards)"
         )
     x = delta_phi * sigma / omega0
     return 0.5 * (1.0 + math.exp(-x * x) * math.sin(delta_phi))
@@ -274,7 +274,11 @@ def fock_grid(packet: Wavepacket, bins: int = 1024) -> tuple[np.ndarray, np.ndar
         weights = _trapz_weights(omegas) * packet.density(omegas)
     if omegas.size > MAX_FOCK_BINS:
         raise ValueError(f"Fock oracle capped at {MAX_FOCK_BINS} bins, got {omegas.size}")
-    return omegas, weights / weights.sum()
+    total = weights.sum()
+    if not 0.0 < total < math.inf:  # bins narrower than the float64 spacing at omega0
+        raise ValueError(f"Fock grid weights sum to {float(total)!r}: the grid does not "
+                         f"resolve sigma = {packet.sigma!r} at omega0 = {packet.omega0!r}")
+    return omegas, weights / total
 
 
 def fock_oracle_hom(packet: Wavepacket, delta_t: float, bins: int = 1024) -> float:

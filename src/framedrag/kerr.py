@@ -159,33 +159,32 @@ def light_speed_full(point: KerrPoint, direction: str) -> float:
     return _light_speed_full_raw(point.source.r_s, point.source.a, point.r, direction)
 
 
-def light_speed_weak(point: KerrPoint, direction: str, *,
-                     guard: float = WEAK_FIELD_GUARD, force: bool = False) -> float:
+def light_speed_weak(point: KerrPoint, direction: str, *, force: bool = False) -> float:
     """Signed weak-field light speed +-(1 - r_s/(2r) +- r_s a/r^2).
 
-    Valid only for r_s/r and a/r below ``guard`` (default 0.01); pass
+    Valid only for r_s/r and a/r below WEAK_FIELD_GUARD (0.01); pass
     ``force=True`` to evaluate the truncation anyway.
     """
     _check_direction(direction)
     r_s, a, r = point.source.r_s, point.source.a, point.r
-    _apply_weak_guard(r_s, a, r, guard, force)
+    _apply_weak_guard(r_s, a, r, force)
     drag = r_s * a / (r * r)
     radial = 1.0 - r_s / (2.0 * r)
     return radial + drag if direction == "co" else -(radial - drag)
 
 
-def _apply_weak_guard(r_s: float, a: float, r: float, guard: float, force: bool) -> None:
+def _apply_weak_guard(r_s: float, a: float, r: float, force: bool) -> None:
     if force:
         return
-    if r_s / r >= guard or a / r >= guard:
+    if r_s / r >= WEAK_FIELD_GUARD or a / r >= WEAK_FIELD_GUARD:
         raise GuardViolation(
             f"weak-field expansion invalid: r_s/r = {r_s / r:.3e}, "
-            f"a/r = {a / r:.3e}, guard = {guard:g} (use force/--override-guards)"
+            f"a/r = {a / r:.3e}, guard = {WEAK_FIELD_GUARD:g} (use force/--override-guards)"
         )
 
 
 def light_speed_pair(point: KerrPoint, mode: str = "full", *,
-                     guard: float = WEAK_FIELD_GUARD, force: bool = False) -> LightSpeedPair:
+                     force: bool = False) -> LightSpeedPair:
     """Both light speeds at a point, reported as magnitudes.
 
     ``mode`` selects the full null-condition solution or the weak-field
@@ -195,8 +194,8 @@ def light_speed_pair(point: KerrPoint, mode: str = "full", *,
         co = light_speed_full(point, "co")
         counter = light_speed_full(point, "counter")
     elif mode == "weak":
-        co = light_speed_weak(point, "co", guard=guard, force=force)
-        counter = light_speed_weak(point, "counter", guard=guard, force=force)
+        co = light_speed_weak(point, "co", force=force)
+        counter = light_speed_weak(point, "counter", force=force)
     else:
         raise ValueError(f"mode must be 'full' or 'weak', got {mode!r}")
     return LightSpeedPair(
@@ -266,8 +265,7 @@ def kerr_time_delay_full(point: KerrPoint, length: float) -> float:
 
 
 def kerr_phase_difference(point: KerrPoint, length: float, omega: float,
-                          mode: str = "weak", *, guard: float = WEAK_FIELD_GUARD,
-                          force: bool = False) -> float:
+                          mode: str = "weak", *, force: bool = False) -> float:
     """Counter-minus-co propagation phase difference around a path.
 
     Parameters
@@ -287,30 +285,28 @@ def kerr_phase_difference(point: KerrPoint, length: float, omega: float,
     _check_positive(omega, "omega")
     r_s, a, r = point.source.r_s, point.source.a, point.r
     if mode == "weak":
-        _apply_weak_guard(r_s, a, r, guard, force)
+        _apply_weak_guard(r_s, a, r, force)
         return 2.0 * omega * length * (r_s * a / (r * r)) * (1.0 + r_s / r)
     if mode == "full":
         return omega * kerr_time_delay_full(point, length)
     raise ValueError(f"mode must be 'weak' or 'full', got {mode!r}")
 
 
-def roundtrip_mean_speed(point: KerrPoint, *, guard: float = WEAK_FIELD_GUARD,
-                         force: bool = False) -> float:
+def roundtrip_mean_speed(point: KerrPoint, *, force: bool = False) -> float:
     """Two-way coordinate light speed 1/(1 + r_s/r) over a closed tangential path."""
     r_s, a, r = point.source.r_s, point.source.a, point.r
-    _apply_weak_guard(r_s, a, r, guard, force)
+    _apply_weak_guard(r_s, a, r, force)
     return 1.0 / (1.0 + r_s / r)
 
 
-def local_two_way_speed(point: KerrPoint, *, guard: float = WEAK_FIELD_GUARD,
-                        force: bool = False) -> float:
+def local_two_way_speed(point: KerrPoint, *, force: bool = False) -> float:
     """Two-way speed measured by a static local observer.
 
     Rescales the coordinate mean speed by dt/dtau = (1 - r_s/r)^(-1);
     equals 1/(1 - (r_s/r)^2), i.e. unity up to O((r_s/r)^2).
     """
     r_s, r = point.source.r_s, point.r
-    mean = roundtrip_mean_speed(point, guard=guard, force=force)
+    mean = roundtrip_mean_speed(point, force=force)
     return mean / (1.0 - r_s / r)
 
 
@@ -337,9 +333,7 @@ class ScanResult:
 
 
 def blackhole_scan(source: GravSource, omega: float, sigma: float, *,
-                   r_over_rs: np.ndarray | None = None,
-                   r_min: float | None = None, r_max: float = 1.0e3,
-                   n_points: int = 512) -> ScanResult:
+                   r_max: float = 1.0e3, n_points: int = 512) -> ScanResult:
     """Phase difference and visibility versus radius around a black hole.
 
     At each radius r = r' r_s a closed tangential loop L = 2 pi r is
@@ -353,9 +347,10 @@ def blackhole_scan(source: GravSource, omega: float, sigma: float, *,
         Must be sub-extremal (the scan is anchored to the horizon).
     omega, sigma : float
         Carrier frequency and spectral width, inverse metres.
-    r_over_rs : ndarray, optional
-        Explicit radii in units of r_s.  When omitted, a logarithmic grid
-        of ``n_points`` samples from 1.05 r+/r_s to ``r_max`` is used.
+    r_max, n_points : float, int
+        The radii are a logarithmic grid of ``n_points`` samples from
+        1.05 r+/r_s to ``r_max``, in units of r_s, so every sample lies
+        outside the horizon.
     """
     import numpy as np
 
@@ -364,36 +359,24 @@ def blackhole_scan(source: GravSource, omega: float, sigma: float, *,
     if source.r_s <= 0.0:
         raise ValueError("blackhole_scan requires r_s > 0")
     r_plus = horizon_radius(source)  # errors for super-extremal sources
-    if r_over_rs is None:
-        if n_points < 2:
-            raise ValueError(f"n_points must be at least 2, got {n_points!r}")
-        lo = 1.05 * r_plus / source.r_s if r_min is None else r_min
-        if lo >= r_max:
-            raise ValueError(f"empty radial range [{lo!r}, {r_max!r}]")
-        grid = np.geomspace(lo, r_max, n_points)
-    else:
-        grid = np.asarray(r_over_rs, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("r_over_rs must be a non-empty 1-d array")
-
-    r = grid * source.r_s
-    bad = r <= r_plus
-    if np.any(bad):
-        offending = grid[bad][0]
-        raise ValueError(
-            f"scan sample r' = {offending!r} lies inside the horizon "
-            f"(r+/r_s = {r_plus / source.r_s!r})"
-        )
+    if n_points < 2:
+        raise ValueError(f"n_points must be at least 2, got {n_points!r}")
+    lo = 1.05 * r_plus / source.r_s
+    if lo >= r_max:
+        raise ValueError(f"empty radial range [{lo!r}, {r_max!r}]")
+    grid = np.geomspace(lo, r_max, n_points)
 
     r_s, a = source.r_s, source.a
-    big_p = r * r + a * a * (1.0 + r_s / r)
-    drag = r_s * a / (r * np.sqrt(big_p))
-    root = np.sqrt(drag * drag + (1.0 - r_s / r))
-    length = 2.0 * np.pi * r
-    with np.errstate(divide="ignore"):
+    # r = r_s and overflowing inputs give inf or nan, which callers check
+    with np.errstate(all="ignore"):
+        r = grid * r_s
+        big_p = r * r + a * a * (1.0 + r_s / r)
+        drag = r_s * a / (r * np.sqrt(big_p))
+        root = np.sqrt(drag * drag + (1.0 - r_s / r))
+        length = 2.0 * np.pi * r
         delta_t = length * 2.0 * np.minimum(drag, root) / np.abs(1.0 - r_s / r)
-    phase = omega * delta_t
-    visibility = np.exp(-np.square(delta_t * sigma))
+        phase = omega * delta_t
+        visibility = np.exp(-np.square(delta_t * sigma))
     return ScanResult(r_over_rs=grid, phase_rad=phase, visibility=visibility)
 
 

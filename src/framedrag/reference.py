@@ -18,7 +18,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from . import fiber, interference, kerr, turntable
-from .constants import CONSTANTS, GravSource, PhysicalConstants
+from .constants import CONSTANTS, GravSource
 from .interference import Wavepacket
 
 __all__ = [
@@ -107,9 +107,8 @@ def _mp_full_speed(r_s, a, r, sign):
     return drag + root if sign > 0 else drag - root
 
 
-def check_weak_vs_full(weak_fn: Callable[..., float] | None = None,
-                       envelope_k: float = 1.0) -> CheckResult:
-    """Weak-field truncation error against the quadratic envelope.
+def check_weak_vs_full(weak_fn: Callable[..., float] | None = None) -> CheckResult:
+    """Weak-field truncation error against the quadratic envelope (K = 1).
 
     Both routes run in 50-digit arithmetic on a log grid of
     (r_s/r, a/r) in [1e-12, 1e-3]^2 — the differences sit far below
@@ -128,8 +127,7 @@ def check_weak_vs_full(weak_fn: Callable[..., float] | None = None,
                 r = mp.mpf(1)
                 r_s = mp.power(10, rs_over_r)
                 a = mp.power(10, a_over_r)
-                envelope = envelope_k * ((r_s / r) ** 2 + (a / r) ** 2
-                                         + (r_s * a / r**2) * (r_s / r))
+                envelope = (r_s / r) ** 2 + (a / r) ** 2 + (r_s * a / r**2) * (r_s / r)
                 for direction, sign in (("co", 1), ("counter", -1)):
                     full = _mp_full_speed(r_s, a, r, sign)
                     if weak_fn is None:
@@ -145,7 +143,7 @@ def check_weak_vs_full(weak_fn: Callable[..., float] | None = None,
     return CheckResult(
         name="weak-vs-full-envelope",
         passed=worst <= 1.0,
-        detail=f"max error/envelope {worst:.3e} (K={envelope_k:g}) over {count} points",
+        detail=f"max error/envelope {worst:.3e} (K=1) over {count} points",
     )
 
 
@@ -458,7 +456,7 @@ def run_all_checks() -> list[CheckResult]:
     ]
 
 
-def unreproduced_targets(constants: PhysicalConstants = CONSTANTS) -> list[UnreproducedTarget]:
+def unreproduced_targets() -> list[UnreproducedTarget]:
     """Quoted figures that the printed formulas do not reproduce.
 
     These are reported as warnings wherever the surrounding numbers are
@@ -466,14 +464,13 @@ def unreproduced_targets(constants: PhysicalConstants = CONSTANTS) -> list[Unrep
     """
     source = GravSource(r_s=0.009, a=3.9)
     equiv = turntable.equivalence_velocity_metric(source, r=100.0)
-    v_si = equiv.v * constants.c
+    v_si = equiv.v * CONSTANTS.c
 
-    table = turntable.TurntableConfig.from_angular_frequency(
-        0.2, 2.0 * math.pi, speed_of_light=constants.c)
+    table = turntable.TurntableConfig.from_angular_frequency(0.2, 2.0 * math.pi)
     arms = fiber.FiberArms(length=1.0e4, delta_length=0.01,
                            model=fiber.RefractiveModel.constant(1.453), v=table.v)
     dip = fiber.hom_dip_shift(arms)
-    shift_seconds = dip.center_shift / constants.c
+    shift_seconds = dip.center_shift / CONSTANTS.c
 
     return [
         UnreproducedTarget(
@@ -494,7 +491,7 @@ def unreproduced_targets(constants: PhysicalConstants = CONSTANTS) -> list[Unrep
     ]
 
 
-def fig1_crossover_radius(omega: float = 2.0e6, sigma: float = 3.5e3) -> float:
+def fig1_crossover_radius(sigma: float = 3.5e3) -> float:
     """Radius (in units of r_s) where the default scan visibility crosses 1/2.
 
     Root-found with Brent's method on the full-mode delay; frozen as a

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .constants import CONSTANTS, GravSource
+from .constants import GravSource
 from .fiber import FiberArms, RefractiveModel
 from .interference import Wavepacket
 from .kerr import KerrPoint
@@ -61,17 +61,24 @@ PARAMETERS: Mapping[str, tuple[type, str | None]] = {
 }
 
 
-def _parse_value(key: str, raw: str) -> float | int:
+def _check_value(key: str, value: Any, shown: Any) -> float | int:
+    """``value`` if it has the PARAMETERS type of ``key`` (floats finite); errors quote ``shown``."""
     kind = PARAMETERS[key][0]
+    if not isinstance(value, int if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"config key {key!r} expects {noun}, got {shown!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be finite, got {shown!r}")
+    return value
+
+
+def _parse_value(key: str, raw: str) -> float | int:
     raw = raw.strip()
     try:
-        value = kind(raw)
+        value = PARAMETERS[key][0](raw)
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"config key {key!r} expects {noun}, got {raw!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ValueError(f"config key {key!r} must be finite, got {raw!r}")
-    return value
+        value = raw  # a string: _check_value names the expected type
+    return _check_value(key, value, raw)
 
 
 def parse_override(item: str) -> tuple[str, float | int]:
@@ -177,9 +184,10 @@ class Scenario:
         user: dict[str, float | int] = {}
         user.update(config or {})
         user.update(overrides or {})
-        for key in user:
+        for key, value in user.items():
             if key not in PARAMETERS:
                 raise ValueError(f"unknown config key {key!r}")
+            _check_value(key, value, value)
         return cls(defaults=dict(defaults), user=user)
 
     def has(self, key: str) -> bool:
@@ -242,12 +250,10 @@ class Scenario:
         rates = self.user if given else self.defaults
         if "turntable.velocity" in rates:
             return TurntableConfig.from_velocity(
-                r_t, float(rates["turntable.velocity"]),
-                speed_of_light=CONSTANTS.c, windings=windings)
+                r_t, float(rates["turntable.velocity"]), windings=windings)
         if "turntable.omega" in rates:
             return TurntableConfig.from_angular_frequency(
-                r_t, float(rates["turntable.omega"]),
-                speed_of_light=CONSTANTS.c, windings=windings)
+                r_t, float(rates["turntable.omega"]), windings=windings)
         raise ValueError("missing turntable.omega or turntable.velocity")
 
     def refractive_model(self) -> RefractiveModel:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import GravSource
-from .kerr import KerrPoint, LightSpeedPair, MetricComponents
+from .constants import CONSTANTS, GravSource
+from .kerr import KerrPoint, MetricComponents
 
 __all__ = [
     "TurntableConfig",
@@ -30,7 +30,6 @@ __all__ = [
     "equivalence_velocity_timeshift",
     "turntable_roundtrip_shift",
     "kerr_roundtrip_shift",
-    "sagnac_light_speeds",
     "sagnac_phase",
     "min_velocity_for_visibility",
     "windings_for_visibility_loss",
@@ -71,16 +70,15 @@ class TurntableConfig:
             raise ValueError(f"windings must be >= 0, got {self.windings!r}")
 
     @classmethod
-    def from_velocity(cls, r_t: float, v: float, *, speed_of_light: float,
-                      windings: int = 0) -> "TurntableConfig":
+    def from_velocity(cls, r_t: float, v: float, *, windings: int = 0) -> "TurntableConfig":
         _check_speed(v)
-        omega = v * speed_of_light / r_t
+        omega = v * CONSTANTS.c / r_t
         return cls(r_t=r_t, v=v, omega_rot=omega, windings=windings)
 
     @classmethod
-    def from_angular_frequency(cls, r_t: float, omega_rot: float, *, speed_of_light: float,
+    def from_angular_frequency(cls, r_t: float, omega_rot: float, *,
                                windings: int = 0) -> "TurntableConfig":
-        v = omega_rot * r_t / speed_of_light
+        v = omega_rot * r_t / CONSTANTS.c
         return cls(r_t=r_t, v=v, omega_rot=omega_rot, windings=windings)
 
 
@@ -91,16 +89,12 @@ class EquivalenceResult:
     ``v`` is the exact closed form of the selected method, ``v_approx``
     drops the small quadratic term under the square root, and ``v_leading``
     is the first-order value r_s a / (r^2 or r r_t).  All are fractions of
-    c, signed non-negative.  Inputs are echoed for reporting.
+    c, signed non-negative.
     """
 
     v: float
     v_approx: float
     v_leading: float
-    method: str
-    source: GravSource
-    r: float
-    r_t: float | None = None
 
 
 def metric_components_rotating(v: float, r_t: float) -> MetricComponents:
@@ -128,17 +122,14 @@ def equivalence_velocity_metric(source: GravSource, r: float) -> EquivalenceResu
     ``v_approx`` variant keeps only (1 - r_s/r) under the root and
     ``v_leading`` is the first-order r_s a / r^2.
     """
-    point = KerrPoint(source=source, r=r)  # validates r against the horizon
+    KerrPoint(source=source, r=r)  # validates r against the horizon
     r_s, a = source.r_s, source.a
     if r <= r_s:
         raise ValueError(f"metric matching needs r > r_s, got r = {r!r}")
     x = r_s * a / (r * r)
     v = x / math.sqrt(1.0 - r_s / r + x * x)
     v_approx = x / math.sqrt(1.0 - r_s / r)
-    return EquivalenceResult(
-        v=v, v_approx=v_approx, v_leading=x,
-        method="metric", source=source, r=point.r,
-    )
+    return EquivalenceResult(v=v, v_approx=v_approx, v_leading=x)
 
 
 def equivalence_velocity_timeshift(source: GravSource, r: float, r_t: float, *,
@@ -152,7 +143,7 @@ def equivalence_velocity_timeshift(source: GravSource, r: float, r_t: float, *,
     sqrt(1-r_s/r)), which for r_t = r reproduces the metric-matching
     velocity.
     """
-    point = KerrPoint(source=source, r=r)
+    KerrPoint(source=source, r=r)  # validates r against the horizon
     if r_t <= 0.0:
         raise ValueError(f"turntable radius must be positive, got {r_t!r}")
     r_s, a = source.r_s, source.a
@@ -162,10 +153,7 @@ def equivalence_velocity_timeshift(source: GravSource, r: float, r_t: float, *,
             raise ValueError(f"metric-time matching needs r > r_s, got r = {r!r}")
         x /= math.sqrt(1.0 - r_s / r)
     v = x / math.sqrt(1.0 + x * x)
-    return EquivalenceResult(
-        v=v, v_approx=x / math.sqrt(1.0 + x * x), v_leading=x,
-        method="timeshift", source=source, r=point.r, r_t=r_t,
-    )
+    return EquivalenceResult(v=v, v_approx=x / math.sqrt(1.0 + x * x), v_leading=x)
 
 
 def turntable_roundtrip_shift(v: float, r_t: float) -> float:
@@ -184,12 +172,6 @@ def kerr_roundtrip_shift(source: GravSource, r: float) -> float:
     if r <= 0.0:
         raise ValueError(f"r must be positive, got {r!r}")
     return 2.0 * math.pi * source.r_s * source.a / r
-
-
-def sagnac_light_speeds(v: float) -> LightSpeedPair:
-    """Rotating-frame coordinate light speeds (1+v, 1-v)."""
-    _check_speed(v)
-    return LightSpeedPair(c_co=1.0 + v, c_counter=1.0 - v)
 
 
 def sagnac_phase(omega: float, length: float, v: float) -> float:
@@ -260,12 +242,11 @@ def winding_hom_exponent(sigma: float, v: float, r_t: float, windings: int = 0) 
     return 0.5 * (sigma * delta_t) ** 2
 
 
-def two_way_phase_turntable(v: float, r_t: float, omega: float,
-                            length: float | None = None) -> tuple[float, float, float]:
+def two_way_phase_turntable(v: float, r_t: float, omega: float) -> tuple[float, float, float]:
     """Round-trip phases of the two arms and their difference.
 
-    Each arm sends light out and back over the same fiber of length L
-    (default pi r_t sqrt(1-v^2)), one leg co-rotating at 1+v and one
+    Each arm sends light out and back over the same fiber of length
+    L = pi r_t sqrt(1-v^2), one leg co-rotating at 1+v and one
     counter-rotating at 1-v; phases are accumulated against on-platform
     proper time.  The out/back legs commute, so the difference vanishes
     identically — the round-trip speed of light on the platform is
@@ -276,10 +257,7 @@ def two_way_phase_turntable(v: float, r_t: float, omega: float,
         raise ValueError(f"turntable radius must be positive, got {r_t!r}")
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega!r}")
-    if length is None:
-        length = math.pi * r_t * math.sqrt(1.0 - v * v)
-    elif length <= 0.0:
-        raise ValueError(f"length must be positive, got {length!r}")
+    length = math.pi * r_t * math.sqrt(1.0 - v * v)
     proper = math.sqrt(1.0 - v * v)
     t_a = length / (1.0 + v) + length / (1.0 - v)
     t_b = length / (1.0 - v) + length / (1.0 + v)
@@ -288,10 +266,10 @@ def two_way_phase_turntable(v: float, r_t: float, omega: float,
     return phi_a, phi_b, phi_a - phi_b
 
 
-def g_force(v: float, r_t: float, *, speed_of_light: float) -> float:
+def g_force(v: float, r_t: float) -> float:
     """Centripetal acceleration (v c)^2 / r_t in units of 9.81 m/s^2."""
     _check_speed(v)
     if r_t <= 0.0:
         raise ValueError(f"turntable radius must be positive, got {r_t!r}")
-    v_si = v * speed_of_light
+    v_si = v * CONSTANTS.c
     return v_si * v_si / r_t / STANDARD_GRAVITY

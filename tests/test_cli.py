@@ -1,16 +1,21 @@
 """End-to-end command-line runs: exit codes, determinism, warnings, CSV."""
 
+import contextlib
+import io
 import math
+import re
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from framedrag import cli, kerr
 from framedrag.constants import CONSTANTS
 from framedrag.interference import hom_coincidence_gaussian
 from framedrag.reference import CheckResult
-from framedrag.scenario import BLACK_HOLE_DEFAULTS, FIBER_LOOP_DEFAULTS, Scenario
+from framedrag.scenario import BLACK_HOLE_DEFAULTS, FIBER_LOOP_DEFAULTS, PARAMETERS, Scenario
 
 
 def run_cli(capsys, *argv):
@@ -325,6 +330,18 @@ def test_fig1_sugar_flags(capsys):
     assert float(lines[-1].split(",")[0]) == pytest.approx(500.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["fig1", "--r-max", "nan"], "scan.r_max"),
+    (["fig1", "--r-max", "inf"], "scan.r_max"),
+    (["fig3", "--omega-max", "nan"], "sweep.omega_max"),
+])
+def test_figure_sugar_flags_reject_non_finite(capsys, argv, key):
+    # the flags bypass the --set parser, so Scenario.assemble checks them
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"ERROR validation: config key {key!r} must be finite, got {argv[2]}\n"
+
+
 # --- exit codes -------------------------------------------------------------------
 
 def test_unknown_key_exits_2(capsys):
@@ -401,6 +418,58 @@ def test_hom_phase_just_under_float_resolution_still_reports(capsys):
     phase = parse_report(out)["delta_phi"]
     assert 0.9 / sys.float_info.epsilon < phase < 1.0 / sys.float_info.epsilon
     assert "photon_prob_mono" in out
+
+
+def test_kerr_overflowed_delay_is_not_blamed_on_the_ergosphere(capsys):
+    # r = 6.37e7 m is far outside r_s: the delay overflowed, g_tt is not 0
+    code, out, err = run_cli(capsys, "kerr", "--set", "path.length=1e308")
+    assert code == 2 and out == ""
+    assert err == ("ERROR overflow: these inputs leave the float64 range: "
+                   "delay_full = inf is not finite\n")
+
+
+# --- random overrides: finite values at exit 0, a named error at exit 2 ----------
+
+BARE_MESSAGES = ("math domain error", "math range error", "float division by zero",
+                 "division by zero", "integer division or modulo by zero")
+FLOAT_KEYS = sorted(key for key, (kind, _) in PARAMETERS.items() if kind is float)
+SIGNED_VALUES = st.builds(
+    lambda magnitude, sign: sign * magnitude,
+    st.floats(min_value=1e-310, max_value=1e308, allow_subnormal=True),
+    st.sampled_from((1.0, -1.0)))
+
+
+@given(st.sampled_from(("kerr", "equivalence", "feasibility", "hom", "fiber", "fig1", "fig3")),
+       st.lists(st.tuples(st.sampled_from(FLOAT_KEYS), SIGNED_VALUES), min_size=1, max_size=3))
+@example("feasibility", [("light.sigma", 1e300)])  # OverflowError traceback
+@example("fiber", [("medium.b", 1e308)])  # OverflowError traceback
+@example("kerr", [("point.r", 1.3e250)])  # g_phiphi = -inf at exit 0
+@example("fig1", [("scan.r_max", 1e308)])  # a nan row at exit 0
+@example("kerr", [("light.omega0", 1e308)])  # fmod of an infinite phase
+@example("fiber", [("light.sigma", 1e300)])  # cos(inf) in the down-converted integrand
+@example("kerr", [("path.length", 1e308)])  # overflow blamed on the ergosphere
+@example("hom", [("light.sigma", 5e-125), ("interference.delta_t", 1e-113)])  # nan Fock weights
+@example("fig3", [("turntable.radius", 1e-300), ("sweep.omega_max", 1e308)])  # inf rows
+@settings(max_examples=200, deadline=None)
+def test_random_overrides_give_finite_values_or_a_named_error(command, overrides):
+    argv = [command] + [arg for key, value in overrides for arg in ("--set", f"{key}={value!r}")]
+    if command in ("fig1", "fig3"):
+        argv += ["--points", "5"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), argv
+    if code == 0:
+        if command in ("fig1", "fig3"):
+            values = [float(cell) for row in out.splitlines()[1:] for cell in row.split(",")]
+        else:
+            values = list(parse_report(out).values())
+        assert values and all(math.isfinite(value) for value in values), argv
+    else:
+        assert out == "", argv
+        match = re.fullmatch(r"ERROR [\w-]+: (.+)\n", err)
+        assert match is not None and match.group(1) not in BARE_MESSAGES, (argv, err)
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

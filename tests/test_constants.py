@@ -7,8 +7,6 @@ from framedrag.constants import (
     GravSource,
     schwarzschild_radius,
     spin_parameter,
-    velocity_natural_to_si,
-    velocity_si_to_natural,
 )
 
 
@@ -47,20 +45,6 @@ def test_grav_source_rejects_negative():
         GravSource(r_s=1.0, a=-0.1)
     with pytest.raises(ValueError):
         GravSource(r_s=float("nan"), a=0.0)
-
-
-def test_velocity_conversions_roundtrip():
-    v = velocity_si_to_natural(2891.72)
-    assert math.isclose(velocity_natural_to_si(v), 2891.72, rel_tol=1e-15)
-
-
-def test_velocity_conversions_reject_superluminal():
-    with pytest.raises(ValueError):
-        velocity_si_to_natural(CONSTANTS.c)
-    with pytest.raises(ValueError):
-        velocity_natural_to_si(1.0)
-    with pytest.raises(ValueError):
-        velocity_natural_to_si(-1.0)
 
 
 def test_mass_validation():

@@ -191,6 +191,13 @@ def test_fock_grid_caps_and_bins():
         fock_grid(tab)
 
 
+def test_fock_grid_rejects_a_width_below_float_spacing():
+    # +-6 sigma = 3e-124 rad/m around 2e6 rad/m: every bin rounds to omega0,
+    # so the trapezoid weights sum to 0 and normalizing them would give nan
+    with pytest.raises(ValueError, match="weights sum to 0.0"):
+        fock_grid(Wavepacket.gaussian(2.0e6, 5.0e-125), 64)
+
+
 # --- spectra and containers ----------------------------------------------------
 
 def test_gaussian_density_normalized():

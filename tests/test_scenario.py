@@ -84,6 +84,21 @@ def test_assemble_rejects_unknown_keys():
         Scenario.assemble({}, config={"typo.key": 1.0})
 
 
+@pytest.mark.parametrize("key,value,match", [
+    ("turntable.windings", 2.7, "'turntable.windings' expects an integer, got 2.7"),
+    ("interference.bins", "64", "'interference.bins' expects an integer, got '64'"),
+    ("light.sigma", math.nan, "'light.sigma' must be finite, got nan"),
+    ("scan.r_max", -math.inf, "'scan.r_max' must be finite, got -inf"),
+    ("light.sigma", "3e3", "'light.sigma' expects a number, got '3e3'"),
+])
+def test_assemble_checks_user_values_like_the_parser(key, value, match):
+    for user in ({"config": {key: value}}, {"overrides": {key: value}}):
+        with pytest.raises(ValueError, match=match):
+            Scenario.assemble(EARTH_SURFACE_DEFAULTS, **user)
+    # an integer is a valid float value, as "--set light.sigma=3000" parses
+    assert Scenario.assemble({}, overrides={"light.sigma": 3000}).get("light.sigma") == 3000
+
+
 def test_require_and_get():
     scenario = Scenario.assemble({}, overrides={"point.r": 5.0})
     assert scenario.require("point.r") == 5.0

@@ -20,7 +20,6 @@ speeds = st.floats(min_value=1e-12, max_value=0.99)
 def test_metric_equivalence_earth_surface():
     res = turntable.equivalence_velocity_metric(EARTH, 6.37e6)
     assert math.isclose(res.v * C, 2.59327727925e-7, rel_tol=1e-11)
-    assert res.method == "metric"
 
 
 def test_metric_equivalence_small_source():
@@ -53,7 +52,7 @@ def test_min_velocity_frozen():
 
 def test_g_force_frozen():
     v10, _ = turntable.min_velocity_for_visibility(5.0, 3.3e4)
-    assert math.isclose(turntable.g_force(v10, 5.0, speed_of_light=C),
+    assert math.isclose(turntable.g_force(v10, 5.0),
                         1704.80522984, rel_tol=1e-9)
 
 
@@ -71,18 +70,6 @@ def test_two_way_phase_difference_is_exactly_zero(v, r_t, omega):
     assert diff == 0.0
     assert phi_a == phi_b
     assert phi_a > 0.0
-
-
-@given(speeds)
-@settings(max_examples=200, deadline=None)
-def test_sagnac_speed_product(v):
-    pair = turntable.sagnac_light_speeds(v)
-    assert pair.c_co == 1.0 + v
-    assert pair.c_counter == 1.0 - v
-    # (1+v)(1-v) = 1-v^2 only up to rounding; assert at ulp scale of the
-    # operands (~1), not of the possibly tiny product
-    assert math.isclose(pair.c_co * pair.c_counter, 1.0 - v * v,
-                        rel_tol=4e-16, abs_tol=1e-15)
 
 
 @given(speeds, st.floats(1e-3, 1e3))
@@ -140,17 +127,14 @@ def test_winding_arm_length():
 
 
 def test_turntable_config_builders():
-    cfg = turntable.TurntableConfig.from_angular_frequency(0.2, 2.0 * math.pi,
-                                                           speed_of_light=C)
+    cfg = turntable.TurntableConfig.from_angular_frequency(0.2, 2.0 * math.pi)
     assert math.isclose(cfg.v, 4.1916900439033636e-9, rel_tol=1e-12)
-    cfg2 = turntable.TurntableConfig.from_velocity(0.2, cfg.v, speed_of_light=C)
+    cfg2 = turntable.TurntableConfig.from_velocity(0.2, cfg.v)
     assert cfg2.omega_rot == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
 def test_speed_validation():
     with pytest.raises(ValueError):
-        turntable.sagnac_light_speeds(1.0)
-    with pytest.raises(ValueError):
         turntable.turntable_roundtrip_shift(-0.1, 1.0)
     with pytest.raises(ValueError):
-        turntable.TurntableConfig.from_velocity(0.2, 1.5, speed_of_light=C)
+        turntable.TurntableConfig.from_velocity(0.2, 1.5)
