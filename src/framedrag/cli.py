@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import fiber, interference, kerr, reference, turntable
 from .constants import CONSTANTS, GravSource
-from .errors import GuardViolation
+from .errors import GuardViolation, check_at_least, check_positive, check_speed
 from .interference import SpectrumNormalizationWarning
 from .scenario import (
     BLACK_HOLE_DEFAULTS,
@@ -120,15 +120,45 @@ def _warn_earth_radius(report: RunReport, source: GravSource, r: float) -> None:
             "r = 6.37e7 m. Outputs above use the echoed inputs verbatim.")
 
 
-def _warn_dip_residual(report: RunReport, omega_rot: float, radius: float,
-                       delta_length: float, shift_m: float) -> None:
+def _report_dip(report: RunReport, arms: fiber.FiberArms, omega_rot: float,
+                radius: float) -> None:
+    """The three dip-shift lines, and the quoted 3e-11 s target for its stock inputs."""
+    dip = fiber.hom_dip_shift(arms)
+    report.output("dip_delta_t_total", dip.delta_t_total, "m", "dip-shift-total")
+    report.output("dip_center_shift", dip.center_shift, "m", "dip-center-shift")
+    report.output("dip_center_shift_approx", dip.center_shift_approx, "m",
+                  "dip-center-shift-approx")
     if (_near(omega_rot, 2.0 * math.pi) and _near(radius, 0.2)
-            and _near(delta_length, 0.01)):
+            and _near(arms.delta_length, 0.01)):
         report.warn(
             "target-value-unreproduced",
             "quoted residual dip-center timescale 3e-11 s; the shift formula "
-            f"gives {format(shift_m / _C, '.17g')} s "
-            f"({format(shift_m, '.17g')} m) for these inputs.")
+            f"gives {format(dip.center_shift / _C, '.17g')} s "
+            f"({format(dip.center_shift, '.17g')} m) for these inputs.")
+
+
+def _report_warnings(report: RunReport, caught: list) -> None:
+    """One WARN line per distinct quadrature or spectrum warning; other categories passed on.
+
+    scipy's ``IntegrationWarning`` is matched without importing scipy, so the
+    closed-form commands never load it.  Passed-on warnings are warned again,
+    to be shown or filtered as they would have been without the capture.
+    """
+    integration = getattr(sys.modules.get("scipy.integrate"), "IntegrationWarning", ())
+    found: dict[tuple[str, str], None] = {}
+    registry: dict = {}
+    for item in caught:
+        if issubclass(item.category, integration):
+            first = " ".join(str(item.message).split()).split(". ")[0].rstrip(".")
+            found[("quadrature-unconverged",
+                   f"{first}; a quadrature value above may be inaccurate.")] = None
+        elif issubclass(item.category, SpectrumNormalizationWarning):
+            found[("spectrum-renormalized", str(item.message))] = None
+        else:
+            warnings.warn_explicit(item.message, item.category, item.filename,
+                                   item.lineno, registry=registry)
+    for tag, message in found:
+        report.warn(tag, message)
 
 
 # --- commands ---------------------------------------------------------------
@@ -284,13 +314,7 @@ def cmd_feasibility(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("coherence_length",
                   fiber.coherence_length_required(loop_length, table.omega_rot, radius),
                   "m", "coherence-length")
-    dip = fiber.hom_dip_shift(arms)
-    report.output("dip_delta_t_total", dip.delta_t_total, "m", "dip-shift-total")
-    report.output("dip_center_shift", dip.center_shift, "m", "dip-center-shift")
-    report.output("dip_center_shift_approx", dip.center_shift_approx, "m",
-                  "dip-center-shift-approx")
-    _warn_dip_residual(report, table.omega_rot, radius, arms.delta_length,
-                       dip.center_shift)
+    _report_dip(report, arms, table.omega_rot, radius)
     return report
 
 
@@ -298,17 +322,12 @@ def cmd_hom(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report = RunReport()
     report.echo_inputs(scenario)
     if args.spectrum is not None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            packet = interference.load_spectrum(args.spectrum)
-        for item in caught:
-            if issubclass(item.category, SpectrumNormalizationWarning):
-                report.warn("spectrum-renormalized", str(item.message))
+        packet = interference.load_spectrum(args.spectrum)
         report.output("spectrum_omega0", packet.omega0, "rad/m", "single-photon-prob")
         report.output("spectrum_sigma", packet.sigma, "rad/m", "gaussian-visibility")
     else:
         packet = scenario.wavepacket()
-    bins = int(scenario.get("interference.bins", 1024))
+    bins = int(scenario.require("interference.bins"))
     delta_t = scenario.get("interference.delta_t")
     delta_t = float(delta_t) if delta_t is not None else 1.0 / packet.sigma
     force = args.override_guards
@@ -388,11 +407,7 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("group_phase_correction", correction, "rad",
                   "group-phase-correction")
 
-    dip = fiber.hom_dip_shift(arms)
-    report.output("dip_delta_t_total", dip.delta_t_total, "m", "dip-shift-total")
-    report.output("dip_center_shift", dip.center_shift, "m", "dip-center-shift")
-    report.output("dip_center_shift_approx", dip.center_shift_approx, "m",
-                  "dip-center-shift-approx")
+    _report_dip(report, arms, table.omega_rot, table.r_t)
     report.output("downconverted_closed",
                   fiber.downconverted_coincidence_closed(
                       sigma, coeffs.delta_alpha, arms.length),
@@ -403,8 +418,6 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("coherence_length",
                   fiber.coherence_length_required(arms.length, table.omega_rot, table.r_t),
                   "m", "coherence-length")
-    _warn_dip_residual(report, table.omega_rot, table.r_t, arms.delta_length,
-                       dip.center_shift)
     return report
 
 
@@ -443,12 +456,11 @@ def _run_fig3(scenario: Scenario) -> tuple[str, list, list[str]]:
     length = float(scenario.require("arms.length"))
     omega_max = float(scenario.require("sweep.omega_max"))
     points = int(scenario.require("sweep.points"))
-    if points < 2:
-        raise ValueError(f"sweep.points must be >= 2, got {points}")
-    for key, value in (("turntable.radius", radius), ("arms.length", length)):
-        if value <= 0.0:
-            raise ValueError(f"{key} must be positive, got {value!r}")
-    turntable._check_speed(abs(omega_max) * radius / _C)  # fastest rim of the sweep
+    check_at_least(points, 2, "sweep.points")
+    check_positive(radius, "turntable.radius")
+    check_positive(length, "arms.length")
+    check_speed(abs(omega_max) * radius / _C,  # the fastest rim of the sweep
+                "|sweep.omega_max| * turntable.radius / c")
     if not math.isfinite(omega_max * (points - 1)):  # the largest product the rows form
         raise OverflowError(f"sweep.omega_max * (sweep.points - 1) overflows: {omega_max!r}")
     omegas, probs = [], []
@@ -571,7 +583,10 @@ def main(argv: list[str] | None = None) -> int:
 
         defaults, runner = _COMMANDS[args.command]
         scenario = Scenario.assemble(defaults, config, overrides)
-        report = runner(scenario, args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = runner(scenario, args)
+        _report_warnings(report, caught)
         sys.stdout.write(report.render())
         if args.csv is not None:
             _write_text(args.csv, report.to_csv())

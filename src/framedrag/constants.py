@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import check_at_least, check_positive
+
 __all__ = [
     "PhysicalConstants",
     "CONSTANTS",
@@ -42,8 +44,7 @@ CONSTANTS = PhysicalConstants()
 
 def schwarzschild_radius(mass: float) -> float:
     """Schwarzschild radius r_s = 2 G M / c^2 of a mass in kg, in metres."""
-    if not math.isfinite(mass) or mass < 0.0:
-        raise ValueError(f"mass must be finite and non-negative, got {mass!r}")
+    check_at_least(mass, 0.0, "mass")
     return 2.0 * CONSTANTS.G * mass / CONSTANTS.c**2
 
 
@@ -52,10 +53,9 @@ def spin_parameter(mass: float, angular_momentum: float) -> float:
 
     ``angular_momentum`` is the SI spin angular momentum in kg m^2/s.
     """
-    if not math.isfinite(mass) or mass <= 0.0:
-        raise ValueError(f"mass must be finite and positive, got {mass!r}")
+    check_positive(mass, "mass")
     if not math.isfinite(angular_momentum):
-        raise ValueError("angular momentum must be finite")
+        raise ValueError(f"angular_momentum must be finite, got {angular_momentum!r}")
     return angular_momentum / (mass * CONSTANTS.c)
 
 
@@ -72,10 +72,8 @@ class GravSource:
     a: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r_s) or self.r_s < 0.0:
-            raise ValueError(f"r_s must be finite and non-negative, got {self.r_s!r}")
-        if not math.isfinite(self.a) or self.a < 0.0:
-            raise ValueError(f"a must be finite and non-negative, got {self.a!r}")
+        check_at_least(self.r_s, 0.0, "r_s")
+        check_at_least(self.a, 0.0, "a")
 
     @property
     def sub_extremal(self) -> bool:

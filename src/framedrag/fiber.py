@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS
-from .turntable import _check_speed, fiber_loop_delay, sagnac_phase
+from .errors import check_at_least, check_positive, check_speed, direction_sign
+from .turntable import fiber_loop_delay, sagnac_phase
 
 __all__ = [
     "RefractiveModel",
@@ -46,18 +47,6 @@ __all__ = [
     "downconverted_coincidence_closed",
 ]
 
-_DIR_SIGNS = {"co": +1.0, "counter": -1.0}
-
-
-def _direction_sign(direction: str) -> float:
-    try:
-        return _DIR_SIGNS[direction]
-    except KeyError:
-        raise ValueError(
-            f"direction must be one of {tuple(_DIR_SIGNS)}, got {direction!r}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class RefractiveModel:
     """Index model n(k) = A/k + B with analytic derivatives.
@@ -71,16 +60,9 @@ class RefractiveModel:
     k0: float
 
     def __post_init__(self) -> None:
-        for name in ("A", "B", "k0"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.A < 0.0:
-            raise ValueError(f"A must be >= 0, got {self.A!r}")
-        if self.B < 1.0:
-            raise ValueError(f"B must be >= 1, got {self.B!r}")
-        if self.k0 <= 0.0:
-            raise ValueError(f"k0 must be positive, got {self.k0!r}")
+        check_at_least(self.A, 0.0, "A")
+        check_at_least(self.B, 1.0, "B")
+        check_positive(self.k0, "k0")
 
     @classmethod
     def fused_silica(cls) -> "RefractiveModel":
@@ -122,17 +104,11 @@ class FiberArms:
     v: float
 
     def __post_init__(self) -> None:
-        for name in ("length", "delta_length"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.length <= 0.0:
-            raise ValueError(f"arm length must be positive, got {self.length!r}")
-        if abs(self.delta_length) >= 0.1 * self.length:
-            raise ValueError(
-                f"|delta_length| = {abs(self.delta_length)!r} must stay below 0.1 L = {0.1 * self.length!r}"
-            )
-        _check_speed(self.v)
+        check_positive(self.length, "length")
+        if not abs(self.delta_length) < 0.1 * self.length:  # also rejects NaN and inf
+            raise ValueError(f"delta_length must be finite with |delta_length| < 0.1 L = "
+                             f"{0.1 * self.length!r}, got {self.delta_length!r}")
+        check_speed(self.v)
 
 
 def phase_velocity_moving(n: float, v: float, direction: str) -> float:
@@ -141,19 +117,17 @@ def phase_velocity_moving(n: float, v: float, direction: str) -> float:
     ``co`` means the medium moves along the propagation direction.  Expands
     to the Fresnel drag 1/n +- v (1 - 1/n^2) at first order in v.
     """
-    if n < 1.0:
-        raise ValueError(f"refractive index must be >= 1, got {n!r}")
-    _check_speed(v)
-    s = _direction_sign(direction)
+    check_at_least(n, 1.0, "refractive index n")
+    check_speed(v)
+    s = direction_sign(direction)
     return (1.0 / n + s * v) / (1.0 + s * v / n)
 
 
 def effective_lab_velocity(n: float, v: float, direction: str) -> float:
     """Far-away-observer speed (1-v^2)/(n -+ v) of fiber-guided light."""
-    if n < 1.0:
-        raise ValueError(f"refractive index must be >= 1, got {n!r}")
-    _check_speed(v)
-    s = _direction_sign(direction)
+    check_at_least(n, 1.0, "refractive index n")
+    check_speed(v)
+    s = direction_sign(direction)
     return (1.0 - v * v) / (n - s * v)
 
 
@@ -164,7 +138,7 @@ def group_velocity_moving(model: RefractiveModel, k: float, v: float, direction:
     constant-index model returns the phase velocity exactly and a central
     difference of omega(k) = k v_p(k) reproduces the closed form.
     """
-    s = _direction_sign(direction)
+    s = direction_sign(direction)
     n = model.n(k)
     v_p = effective_lab_velocity(n, v, direction)
     return v_p * (1.0 - k * model.n_prime(k) / (n - s * v))
@@ -177,8 +151,8 @@ def gvd_moving(model: RefractiveModel, k: float, v: float, direction: str) -> fl
     the exact curvature of omega(k) = k (1-v^2)/(n(k) -+ v); vanishes for
     a constant index.
     """
-    s = _direction_sign(direction)
-    _check_speed(v)
+    s = direction_sign(direction)
+    check_speed(v)
     n = model.n(k)
     n_p = model.n_prime(k)
     n_pp = model.n_double_prime(k)
@@ -237,8 +211,7 @@ def fiber_phase_difference(arms: FiberArms, omega0: float) -> float:
     With equal arms (dL = 0) the refractive index cancels and the result
     is exactly the vacuum Sagnac phase for loop length L.
     """
-    if omega0 <= 0.0:
-        raise ValueError(f"omega0 must be positive, got {omega0!r}")
+    check_positive(omega0, "omega0")
     n = arms.model.n(arms.model.k0)
     mismatch = 0.0
     if arms.delta_length != 0.0:
@@ -280,10 +253,9 @@ def hom_dip_shift(arms: FiberArms) -> DipShift:
 
 def coherence_length_required(loop_length: float, omega_rot: float, radius: float) -> float:
     """Coherence length 4 pi L' Omega R / c for significant dip visibility loss."""
-    if loop_length <= 0.0 or radius <= 0.0:
-        raise ValueError(f"lengths must be positive, got {loop_length!r}, {radius!r}")
-    if omega_rot < 0.0:
-        raise ValueError(f"omega_rot must be >= 0, got {omega_rot!r}")
+    check_positive(loop_length, "loop_length")
+    check_positive(radius, "radius")
+    check_at_least(omega_rot, 0.0, "omega_rot")
     return 4.0 * math.pi * loop_length * omega_rot * radius / CONSTANTS.c
 
 
@@ -295,9 +267,9 @@ def corrected_group_phase(omega0: float, v: float, length: float,
     correction term n'(k0) v/(1-v^2) exposed separately; it vanishes for a
     dispersionless model and is odd in v.
     """
-    if omega0 <= 0.0 or length <= 0.0:
-        raise ValueError(f"omega0 and length must be positive, got {omega0!r}, {length!r}")
-    _check_speed(v)
+    check_positive(omega0, "omega0")
+    check_positive(length, "length")
+    check_speed(v)
     gamma2 = 1.0 - v * v
     correction = model.n_prime(model.k0) * v / gamma2
     phase = 4.0 * omega0 * v * length / gamma2 * (1.0 + correction)
@@ -320,8 +292,8 @@ def downconverted_coincidence(sigma: float, coeffs: DispersionCoefficients,
     """
     from scipy.integrate import quad
 
-    if sigma <= 0.0 or length <= 0.0:
-        raise ValueError(f"sigma and length must be positive, got {sigma!r}, {length!r}")
+    check_positive(sigma, "sigma")
+    check_positive(length, "length")
     da = coeffs.delta_alpha
     bs = coeffs.beta_sum
     half = 12.0 * sigma
@@ -344,7 +316,7 @@ def downconverted_coincidence(sigma: float, coeffs: DispersionCoefficients,
 
 def downconverted_coincidence_closed(sigma: float, delta_alpha: float, length: float) -> float:
     """Gaussian closed form (1 - exp(-sigma^2 delta_alpha^2 L^2))/2."""
-    if sigma <= 0.0 or length <= 0.0:
-        raise ValueError(f"sigma and length must be positive, got {sigma!r}, {length!r}")
+    check_positive(sigma, "sigma")
+    check_positive(length, "length")
     x = sigma * delta_alpha * length
     return 0.5 * (1.0 - math.exp(-x * x))

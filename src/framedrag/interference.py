@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import GuardViolation
+from .errors import GuardViolation, check_at_least, check_positive
 
 __all__ = [
     "Wavepacket",
@@ -65,10 +65,8 @@ class Wavepacket:
     def __post_init__(self) -> None:
         if self.shape not in ("gaussian", "tabulated"):
             raise ValueError(f"shape must be 'gaussian' or 'tabulated', got {self.shape!r}")
-        if not math.isfinite(self.omega0) or self.omega0 <= 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0!r}")
-        if not math.isfinite(self.sigma) or self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        check_positive(self.omega0, "omega0")
+        check_positive(self.sigma, "sigma")
         if self.shape == "tabulated":
             if self.grid_omega is None or self.grid_density is None:
                 raise ValueError("tabulated packets need grid_omega and grid_density")
@@ -154,8 +152,7 @@ def single_photon_prob(delta_phi: float) -> float:
 
 def gaussian_visibility(delta_t: float, sigma: float) -> float:
     """Single-photon fringe visibility exp(-(delta_t sigma)^2)."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_positive(sigma, "sigma")
     x = delta_t * sigma
     return math.exp(-x * x)
 
@@ -168,8 +165,8 @@ def single_photon_prob_gaussian(delta_phi: float, omega0: float, sigma: float, *
     NARROWBAND_GUARD (0.2) unless ``force=True``.  The independent
     quadrature route is ``single_photon_prob_quadrature``.
     """
-    if omega0 <= 0.0 or sigma <= 0.0:
-        raise ValueError(f"omega0 and sigma must be positive, got {omega0!r}, {sigma!r}")
+    check_positive(omega0, "omega0")
+    check_positive(sigma, "sigma")
     if not force and sigma >= NARROWBAND_GUARD * omega0:
         raise GuardViolation(
             f"narrowband assumption invalid: sigma/omega0 = {sigma / omega0:.3e}, "
@@ -215,8 +212,7 @@ def single_photon_prob_quadrature(delta_phi: float, packet: Wavepacket) -> float
 
 def hom_coincidence_gaussian(sigma: float, delta_t: float) -> float:
     """Gaussian-packet coincidence probability (1 - exp(-sigma^2 dt^2/2))/2."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    check_positive(sigma, "sigma")
     return 0.5 - 0.5 * math.exp(-0.5 * (sigma * delta_t) ** 2)
 
 
@@ -267,8 +263,7 @@ def fock_grid(packet: Wavepacket, bins: int = 1024) -> tuple[np.ndarray, np.ndar
         omegas = np.asarray(packet.grid_omega, dtype=float)
         weights = _trapz_weights(omegas) * packet.grid_density
     else:
-        if bins < 2:
-            raise ValueError(f"bins must be >= 2, got {bins!r}")
+        check_at_least(bins, 2, "bins")
         omegas = np.linspace(packet.omega0 - 6.0 * packet.sigma,
                              packet.omega0 + 6.0 * packet.sigma, bins)
         weights = _trapz_weights(omegas) * packet.density(omegas)

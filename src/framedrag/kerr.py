@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import GravSource
-from .errors import GuardViolation
+from .errors import GuardViolation, check_at_least, check_positive, direction_sign
 
 __all__ = [
     "KerrPoint",
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 WEAK_FIELD_GUARD = 0.01
-
-_DIRECTIONS = ("co", "counter")
 
 
 @dataclass(frozen=True)
@@ -89,19 +87,13 @@ class KerrPoint:
     r: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r) or self.r <= 0.0:
-            raise ValueError(f"r must be finite and positive, got {self.r!r}")
+        check_positive(self.r, "r")
         if self.source.sub_extremal and self.source.r_s > 0.0:
             r_plus = horizon_radius(self.source)
             if self.r <= r_plus:
                 raise ValueError(
                     f"r = {self.r!r} m is not outside the horizon r+ = {r_plus!r} m"
                 )
-
-
-def _check_direction(direction: str) -> None:
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
 
 
 def _speed_terms(r_s: float, a: float, r: float) -> tuple[float, float]:
@@ -155,7 +147,7 @@ def light_speed_full(point: KerrPoint, direction: str) -> float:
         Branch of the null condition.  ``counter`` is negative outside the
         ergosphere and positive (dragged forward) inside it.
     """
-    _check_direction(direction)
+    direction_sign(direction)
     return _light_speed_full_raw(point.source.r_s, point.source.a, point.r, direction)
 
 
@@ -165,7 +157,7 @@ def light_speed_weak(point: KerrPoint, direction: str, *, force: bool = False) -
     Valid only for r_s/r and a/r below WEAK_FIELD_GUARD (0.01); pass
     ``force=True`` to evaluate the truncation anyway.
     """
-    _check_direction(direction)
+    direction_sign(direction)
     r_s, a, r = point.source.r_s, point.source.a, point.r
     _apply_weak_guard(r_s, a, r, force)
     drag = r_s * a / (r * r)
@@ -219,7 +211,7 @@ def null_residual(point: KerrPoint, direction: str) -> float:
     equatorial line element must annihilate it; the residual is
     normalised by the largest term entering the cancellation.
     """
-    _check_direction(direction)
+    direction_sign(direction)
     r_s, a, r = point.source.r_s, point.source.a, point.r
     u = _light_speed_full_raw(r_s, a, r, direction)
     big_p = r * r + a * a * (1.0 + r_s / r)
@@ -238,7 +230,7 @@ def null_residual(point: KerrPoint, direction: str) -> float:
 
 def kerr_time_delay(point: KerrPoint, length: float) -> float:
     """Weak-field arrival-time difference 2 L r_s a / r^2 over a path L."""
-    _check_positive(length, "length")
+    check_positive(length, "length")
     r_s, a, r = point.source.r_s, point.source.a, point.r
     return 2.0 * length * r_s * a / (r * r)
 
@@ -255,7 +247,7 @@ def kerr_time_delay_full(point: KerrPoint, length: float) -> float:
     ``_speed_terms``).  Diverges at the ergosphere radius r = r_s, where
     the counter branch has zero coordinate speed.
     """
-    _check_positive(length, "length")
+    check_positive(length, "length")
     r_s, a, r = point.source.r_s, point.source.a, point.r
     drag, root = _speed_terms(r_s, a, r)
     denom = 1.0 - r_s / r
@@ -281,8 +273,8 @@ def kerr_phase_difference(point: KerrPoint, length: float, omega: float,
         the weak-field guard; ``full`` returns
         omega L (1/|c_counter| - 1/c_co) from the full speeds.
     """
-    _check_positive(length, "length")
-    _check_positive(omega, "omega")
+    check_positive(length, "length")
+    check_positive(omega, "omega")
     r_s, a, r = point.source.r_s, point.source.a, point.r
     if mode == "weak":
         _apply_weak_guard(r_s, a, r, force)
@@ -354,13 +346,12 @@ def blackhole_scan(source: GravSource, omega: float, sigma: float, *,
     """
     import numpy as np
 
-    _check_positive(omega, "omega")
-    _check_positive(sigma, "sigma")
-    if source.r_s <= 0.0:
-        raise ValueError("blackhole_scan requires r_s > 0")
+    check_positive(omega, "omega")
+    check_positive(sigma, "sigma")
+    check_positive(source.r_s, "r_s")
     r_plus = horizon_radius(source)  # errors for super-extremal sources
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points!r}")
+    check_at_least(n_points, 2, "n_points")
+    check_positive(r_max, "r_max")
     lo = 1.05 * r_plus / source.r_s
     if lo >= r_max:
         raise ValueError(f"empty radial range [{lo!r}, {r_max!r}]")
@@ -378,8 +369,3 @@ def blackhole_scan(source: GravSource, omega: float, sigma: float, *,
         phase = omega * delta_t
         visibility = np.exp(-np.square(delta_t * sigma))
     return ScanResult(r_over_rs=grid, phase_rad=phase, visibility=visibility)
-
-
-def _check_positive(value: float, name: str) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")

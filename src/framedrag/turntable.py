@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS, GravSource
+from .errors import check_at_least, check_positive, check_speed
 from .kerr import KerrPoint, MetricComponents
 
 __all__ = [
@@ -43,11 +44,6 @@ __all__ = [
 STANDARD_GRAVITY = 9.81  # m/s^2, as used for the quoted g-force figures
 
 
-def _check_speed(v: float) -> None:
-    if not 0.0 <= v < 1.0 or not math.isfinite(v):
-        raise ValueError(f"tangential speed must satisfy 0 <= v < 1, got {v!r}")
-
-
 @dataclass(frozen=True)
 class TurntableConfig:
     """A spinning platform carrying the interferometer.
@@ -63,21 +59,20 @@ class TurntableConfig:
     windings: int = 0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r_t) or self.r_t <= 0.0:
-            raise ValueError(f"turntable radius must be positive, got {self.r_t!r}")
-        _check_speed(self.v)
-        if self.windings < 0:
-            raise ValueError(f"windings must be >= 0, got {self.windings!r}")
+        check_positive(self.r_t, "r_t")
+        check_speed(self.v)
+        check_at_least(self.windings, 0, "windings")
 
     @classmethod
     def from_velocity(cls, r_t: float, v: float, *, windings: int = 0) -> "TurntableConfig":
-        _check_speed(v)
+        check_speed(v)
         omega = v * CONSTANTS.c / r_t
         return cls(r_t=r_t, v=v, omega_rot=omega, windings=windings)
 
     @classmethod
     def from_angular_frequency(cls, r_t: float, omega_rot: float, *,
                                windings: int = 0) -> "TurntableConfig":
+        check_at_least(omega_rot, 0.0, "omega_rot")
         v = omega_rot * r_t / CONSTANTS.c
         return cls(r_t=r_t, v=v, omega_rot=omega_rot, windings=windings)
 
@@ -99,15 +94,15 @@ class EquivalenceResult:
 
 def metric_components_rotating(v: float, r_t: float) -> MetricComponents:
     """(1+1) rotating-frame metric components (1-v^2, -v r_t, -r_t^2)."""
-    _check_speed(v)
-    if r_t <= 0.0:
-        raise ValueError(f"turntable radius must be positive, got {r_t!r}")
+    check_speed(v)
+    check_positive(r_t, "r_t")
     return MetricComponents(g_tt=1.0 - v * v, g_tphi=-v * r_t, g_phiphi=-r_t * r_t)
 
 
 def time_rescale_factor(source: GravSource, r: float, v: float) -> float:
     """Time rescaling sqrt((1-v^2)/(1-r_s/r)) that aligns the two metrics."""
-    _check_speed(v)
+    check_speed(v)
+    check_positive(r, "r")
     if r <= source.r_s:
         raise ValueError(
             f"time rescaling needs r > r_s, got r = {r!r}, r_s = {source.r_s!r}"
@@ -144,8 +139,7 @@ def equivalence_velocity_timeshift(source: GravSource, r: float, r_t: float, *,
     velocity.
     """
     KerrPoint(source=source, r=r)  # validates r against the horizon
-    if r_t <= 0.0:
-        raise ValueError(f"turntable radius must be positive, got {r_t!r}")
+    check_positive(r_t, "r_t")
     r_s, a = source.r_s, source.a
     x = r_s * a / (r * r_t)
     if metric_time:
@@ -162,25 +156,22 @@ def turntable_roundtrip_shift(v: float, r_t: float) -> float:
     Uses the dilated circumference L = 2 pi r_t / sqrt(1-v^2) and the
     co-rotating closing time L/(1-v) - L.
     """
-    _check_speed(v)
+    check_speed(v)
     circumference = 2.0 * math.pi * r_t / math.sqrt(1.0 - v * v)
     return circumference / (1.0 - v) - circumference
 
 
 def kerr_roundtrip_shift(source: GravSource, r: float) -> float:
     """Rotating-mass round-trip arrival split 2 pi r_s a / r."""
-    if r <= 0.0:
-        raise ValueError(f"r must be positive, got {r!r}")
+    check_positive(r, "r")
     return 2.0 * math.pi * source.r_s * source.a / r
 
 
 def sagnac_phase(omega: float, length: float, v: float) -> float:
     """Sagnac phase difference 2 omega v L / (1 - v^2) around a loop L."""
-    _check_speed(v)
-    if length <= 0.0:
-        raise ValueError(f"length must be positive, got {length!r}")
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    check_speed(v)
+    check_positive(length, "length")
+    check_positive(omega, "omega")
     return 2.0 * omega * v * length / (1.0 - v * v)
 
 
@@ -191,10 +182,9 @@ def min_velocity_for_visibility(radius: float, sigma: float, windings: int = 0) 
     and leading = 1/(2 pi r_eff sigma), where r_eff = (2N+1) r accounts for
     N extra fiber windings.
     """
-    if radius <= 0.0 or sigma <= 0.0:
-        raise ValueError(f"radius and sigma must be positive, got {radius!r}, {sigma!r}")
-    if windings < 0:
-        raise ValueError(f"windings must be >= 0, got {windings!r}")
+    check_positive(radius, "radius")
+    check_positive(sigma, "sigma")
+    check_at_least(windings, 0, "windings")
     r_eff = (2 * windings + 1) * radius
     scale = 2.0 * math.pi * r_eff * sigma
     exact = 1.0 / math.sqrt(scale * scale + 1.0)
@@ -203,11 +193,11 @@ def min_velocity_for_visibility(radius: float, sigma: float, windings: int = 0) 
 
 def windings_for_visibility_loss(radius: float, sigma: float, v: float) -> int:
     """Smallest winding count N with min_velocity(..., N) <= v."""
-    _check_speed(v)
+    check_speed(v)
     if v == 0.0:
         raise ValueError("v = 0 cannot reach significant visibility loss")
-    if radius <= 0.0 or sigma <= 0.0:
-        raise ValueError(f"radius and sigma must be positive, got {radius!r}, {sigma!r}")
+    check_positive(radius, "radius")
+    check_positive(sigma, "sigma")
     # exact >= condition: 4 pi^2 ((2N+1) r)^2 sigma^2 >= 1/v^2 - 1
     needed = math.sqrt(max(1.0 / (v * v) - 1.0, 0.0)) / (2.0 * math.pi * radius * sigma)
     n = math.ceil((needed - 1.0) / 2.0)
@@ -216,11 +206,9 @@ def windings_for_visibility_loss(radius: float, sigma: float, v: float) -> int:
 
 def winding_arm_length(r_t: float, v: float, windings: int = 0) -> float:
     """Arm length (2N+1) pi r_t sqrt(1-v^2) of the half-way meeting layout."""
-    _check_speed(v)
-    if r_t <= 0.0:
-        raise ValueError(f"turntable radius must be positive, got {r_t!r}")
-    if windings < 0:
-        raise ValueError(f"windings must be >= 0, got {windings!r}")
+    check_speed(v)
+    check_positive(r_t, "r_t")
+    check_at_least(windings, 0, "windings")
     return (2 * windings + 1) * math.pi * r_t * math.sqrt(1.0 - v * v)
 
 
@@ -252,11 +240,9 @@ def two_way_phase_turntable(v: float, r_t: float, omega: float) -> tuple[float, 
     identically — the round-trip speed of light on the platform is
     isotropic.
     """
-    _check_speed(v)
-    if r_t <= 0.0:
-        raise ValueError(f"turntable radius must be positive, got {r_t!r}")
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    check_speed(v)
+    check_positive(r_t, "r_t")
+    check_positive(omega, "omega")
     length = math.pi * r_t * math.sqrt(1.0 - v * v)
     proper = math.sqrt(1.0 - v * v)
     t_a = length / (1.0 + v) + length / (1.0 - v)
@@ -268,8 +254,7 @@ def two_way_phase_turntable(v: float, r_t: float, omega: float) -> tuple[float, 
 
 def g_force(v: float, r_t: float) -> float:
     """Centripetal acceleration (v c)^2 / r_t in units of 9.81 m/s^2."""
-    _check_speed(v)
-    if r_t <= 0.0:
-        raise ValueError(f"turntable radius must be positive, got {r_t!r}")
+    check_speed(v)
+    check_positive(r_t, "r_t")
     v_si = v * CONSTANTS.c
     return v_si * v_si / r_t / STANDARD_GRAVITY

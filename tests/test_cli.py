@@ -3,9 +3,12 @@
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -143,6 +146,25 @@ def test_fiber_defaults(capsys):
     assert "1.7025652145385422e-27 s" in out
 
 
+def test_unconverged_quadrature_is_one_report_warning(capsys):
+    # the down-converted integrand oscillates too fast for 500 subdivisions
+    code, out, err = run_cli(capsys, "fiber", "--set", "turntable.omega=1514")
+    assert code == 0 and err == ""
+    assert len(re.findall(r"^WARN quadrature-unconverged: .+$", out, re.M)) == 1
+
+
+def test_overflow_after_a_quadrature_warning_is_one_error_line():
+    # a fresh process, so no warning registry from earlier tests hides the warning
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "framedrag.cli", "fiber",
+                           "--set", "arms.length=1e308"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert re.fullmatch(r"ERROR overflow: [^\n]+\n", proc.stderr), proc.stderr
+
+
 # --- spectra, configs, CSV -------------------------------------------------------
 
 def test_hom_spectrum_file(capsys, tmp_path):
@@ -220,12 +242,15 @@ def test_fig3_negative_sweep_starts_at_positive_zero(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--points", "0"], "sweep.points must be >= 2, got 0"),
-    (["--points", "-2"], "sweep.points must be >= 2, got -2"),
-    (["--omega-max", "3e9"], "tangential speed must satisfy 0 <= v < 1"),
-    (["--set", "arms.length=-1", "--points", "3"], "arms.length must be positive, got -1.0"),
-    (["--set", "arms.length=0"], "arms.length must be positive, got 0.0"),
-    (["--set", "turntable.radius=-0.2"], "turntable.radius must be positive, got -0.2"),
+    (["--points", "0"], "sweep.points must be finite and >= 2, got 0"),
+    (["--points", "-2"], "sweep.points must be finite and >= 2, got -2"),
+    (["--omega-max", "3e9"],
+     "|sweep.omega_max| * turntable.radius / c must be a speed 0 <= v < 1"),
+    (["--set", "arms.length=-1", "--points", "3"],
+     "arms.length must be finite and positive, got -1.0"),
+    (["--set", "arms.length=0"], "arms.length must be finite and positive, got 0.0"),
+    (["--set", "turntable.radius=-0.2"],
+     "turntable.radius must be finite and positive, got -0.2"),
 ], ids=["points-0", "points-negative", "superluminal-rim", "arm-negative", "arm-zero",
         "radius-negative"])
 def test_fig3_rejects_bad_sweep(capsys, tmp_path, argv, message):
@@ -252,7 +277,7 @@ def test_fig1_reports_unmet_visibility_target(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--points", "1"], "n_points must be at least 2, got 1"),
+    (["--points", "1"], "n_points must be finite and >= 2, got 1"),
     (["--set", "light.sigma=-1"], "sigma must be finite and positive, got -1.0"),
 ], ids=["points-1", "negative-sigma"])
 def test_fig1_rejects_bad_scan(capsys, tmp_path, argv, message):
