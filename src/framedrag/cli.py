@@ -46,24 +46,29 @@ def _near(value: float, target: float, rel: float = 0.01) -> bool:
 
 
 class RunReport:
-    """Accumulates input echoes, output lines, and warnings for one run."""
+    """Accumulates input echoes, output lines, and warnings for one run.
+
+    A figure sets ``table`` to ``(header, columns)``; ``write`` then streams
+    that table instead of the text report, with the warnings on stderr.
+    """
 
     def __init__(self) -> None:
-        self._lines: list[str] = []
+        self.lines: list[str] = []
         self._warnings: list[str] = []
         self._rows: list[tuple[str, float]] = []
+        self.table: tuple[str, list] | None = None
 
     def echo_inputs(self, scenario: Scenario) -> None:
         for key, value in sorted(scenario.effective().items()):
             unit = PARAMETERS[key][1]
             suffix = f" {unit}" if unit else ""
-            self._lines.append(f"input {key} = {_fmt(value)}{suffix}")
+            self.lines.append(f"input {key} = {_fmt(value)}{suffix}")
 
     def output(self, name: str, value: float, unit: str | None, anchor_name: str) -> None:
         if not math.isfinite(value):
             raise OverflowError(f"{name} = {value!r} is not finite")
         suffix = f" {unit}" if unit else ""
-        self._lines.append(
+        self.lines.append(
             f"{name} = {_fmt(value)}{suffix} [{anchor_name}] (~{float(value):.4g})")
         self._rows.append((name, float(value)))
 
@@ -71,11 +76,26 @@ class RunReport:
         self._warnings.append(f"WARN {tag}: {message}")
 
     def render(self) -> str:
-        return "\n".join(self._lines + self._warnings) + "\n"
+        return "\n".join(self.lines + self._warnings) + "\n"
 
     def to_csv(self) -> str:
         rows = [f"{name},{format(value, '.17g')}" for name, value in self._rows]
         return "\n".join(["name,value"] + rows) + "\n"
+
+    def write(self, csv: Path | None) -> None:
+        """Text report to stdout and its CSV to ``csv``; or the table to ``csv`` or stdout."""
+        if self.table is None:
+            sys.stdout.write(self.render())
+            if csv is not None:
+                _write_text(csv, self.to_csv())
+            return
+        for line in self._warnings:
+            sys.stderr.write(line + "\n")
+        if csv is None:
+            _write_table(sys.stdout, *self.table)
+        else:
+            with open(csv, "w", newline="\n") as handle:
+                _write_table(handle, *self.table)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -421,36 +441,41 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     return report
 
 
-def _run_fig1(scenario: Scenario) -> tuple[str, list, list[str]]:
+def cmd_fig1(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     import numpy as np
 
+    report = RunReport()
     source = scenario.source()
     omega0 = float(scenario.require("light.omega0"))
     sigma = float(scenario.require("light.sigma"))
-    scan = kerr.blackhole_scan(
-        source, omega0, sigma,
-        r_max=float(scenario.require("scan.r_max")),
-        n_points=int(scenario.require("scan.points")))
+    r_max = float(scenario.require("scan.r_max"))
+    points = int(scenario.require("scan.points"))
+    check_positive(omega0, "light.omega0")
+    check_positive(sigma, "light.sigma")
+    check_at_least(points, 2, "scan.points")
+    check_positive(r_max, "scan.r_max")
+    scan = kerr.blackhole_scan(source, omega0, sigma, r_max=r_max, n_points=points)
     bad = ~np.isfinite(scan.phase_rad)  # a nan delay makes the visibility nan too
     if bad.any():
         r = float(scan.r_over_rs[bad][0])
         raise OverflowError(f"phase_rad = {float(scan.phase_rad[bad][0])!r} is not finite "
                             f"at r/r_s = {r!r}")
-    warns = []
     probe = kerr.KerrPoint(source=source, r=100.0 * source.r_s)
     delay = kerr.kerr_time_delay_full(probe, 2.0 * math.pi * probe.r)
     vis_probe = interference.gaussian_visibility(delay, sigma)
     if vis_probe < 0.99:
         sigma_needed = math.sqrt(-math.log(0.99)) / delay
-        warns.append(
-            "WARN target-value-unreproduced: quoted visibility >= 0.99 at "
+        report.warn(
+            "target-value-unreproduced", "quoted visibility >= 0.99 at "
             f"r/r_s = 100 is not reproduced: these inputs give {vis_probe:.4g} "
             f"(would need sigma <= {sigma_needed:.4g} rad/m).")
-    return ("r_over_rs,phase_rad,visibility",
-            [scan.r_over_rs, scan.phase_rad, scan.visibility], warns)
+    report.table = ("r_over_rs,phase_rad,visibility",
+                    [scan.r_over_rs, scan.phase_rad, scan.visibility])
+    return report
 
 
-def _run_fig3(scenario: Scenario) -> tuple[str, list, list[str]]:
+def cmd_fig3(scenario: Scenario, args: argparse.Namespace) -> RunReport:
+    report = RunReport()
     sigma = float(scenario.require("light.sigma"))
     radius = float(scenario.require("turntable.radius"))
     length = float(scenario.require("arms.length"))
@@ -469,84 +494,88 @@ def _run_fig3(scenario: Scenario) -> tuple[str, list, list[str]]:
         delta_t = turntable.fiber_loop_delay(omega_rot * radius / _C, length)
         omegas.append(omega_rot)
         probs.append(interference.hom_coincidence_gaussian(sigma, delta_t))
-    return "omega_rad_s,coincidence_probability", [omegas, probs], []
+    report.table = ("omega_rad_s,coincidence_probability", [omegas, probs])
+    return report
 
 
 def _run_verify() -> tuple[str, bool]:
-    lines = []
+    """The verify text (one PASS/FAIL line per check, WARN lines, summary) and its verdict."""
+    report = RunReport()
     results = reference.run_all_checks()
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        lines.append(f"{status} {res.name}: {res.detail}")
+    report.lines = [f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
+                    for res in results]
     for target in reference.unreproduced_targets():
-        lines.append(
-            f"WARN target-value-unreproduced: {target.name}: quoted "
-            f"{target.quoted}, formula gives {format(target.computed, '.17g')} "
-            f"{target.unit} ({target.context}).")
-    passed = sum(1 for res in results if res.passed)
-    lines.append(f"verify: {passed}/{len(results)} checks passed")
-    return "\n".join(lines) + "\n", passed == len(results)
+        report.warn("target-value-unreproduced",
+                    f"{target.name}: quoted {target.quoted}, formula gives "
+                    f"{format(target.computed, '.17g')} {target.unit} ({target.context}).")
+    passed = sum(res.passed for res in results)
+    summary = f"verify: {passed}/{len(results)} checks passed\n"
+    return report.render() + summary, passed == len(results)
 
 
-# command -> (defaults, runner, {parsed flag: scenario key})
-_FIGURES = {
-    "fig1": (BLACK_HOLE_DEFAULTS, _run_fig1,
-             {"r_max": "scan.r_max", "points": "scan.points"}),
-    "fig3": (FIBER_LOOP_DEFAULTS, _run_fig3,
-             {"omega_max": "sweep.omega_max", "points": "sweep.points"}),
-}
-
+# scenario command -> (defaults, runner)
 _COMMANDS = {
     "kerr": (EARTH_SURFACE_DEFAULTS, cmd_kerr),
     "equivalence": (EQUIVALENCE_DEFAULTS, cmd_equivalence),
     "feasibility": (FEASIBILITY_DEFAULTS, cmd_feasibility),
     "hom": (HOM_DEFAULTS, cmd_hom),
     "fiber": (FIBER_LOOP_DEFAULTS, cmd_fiber),
+    "fig1": (BLACK_HOLE_DEFAULTS, cmd_fig1),
+    "fig3": (FIBER_LOOP_DEFAULTS, cmd_fig3),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    """Each command takes only the options it reads.
+
+    A shorthand flag's ``dest`` is the scenario key it sets (``--points`` ->
+    ``scan.points``), so ``main`` folds it into the overrides by name.
+    """
+    csv = argparse.ArgumentParser(add_help=False)
+    csv.add_argument("--csv", type=Path, metavar="PATH",
+                     help="also write the results as CSV to this path")
+    common = argparse.ArgumentParser(add_help=False, parents=[csv])
     common.add_argument("--config", type=Path, metavar="PATH",
                         help="flat key=value parameter file ('#' comments)")
-    common.add_argument("--csv", type=Path, metavar="PATH",
-                        help="also write the results as CSV to this path")
     common.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="override one parameter (repeatable; wins over --config)")
-    common.add_argument("--override-guards", action="store_true",
-                        help="force guarded approximations outside their domain")
+    guarded = argparse.ArgumentParser(add_help=False, parents=[common])
+    guarded.add_argument("--override-guards", action="store_true",
+                         help="force guarded approximations outside their domain")
 
     parser = argparse.ArgumentParser(
         prog="framedrag",
         description="Frame-dragging optics: split light speeds, turntable "
                     "analogues, and photon interference.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("kerr", parents=[common],
+    sub.add_parser("kerr", parents=[guarded],
                    help="light speeds, delays, phases near a rotating mass")
     fig1 = sub.add_parser("fig1", parents=[common],
                           help="visibility scan outside a rotating compact source (CSV)")
-    fig1.add_argument("--r-max", type=float, dest="r_max",
+    fig1.add_argument("--r-max", type=float, dest="scan.r_max", metavar="R_MAX",
                       help="outer radius of the scan in units of r_s")
-    fig1.add_argument("--points", type=int, help="number of scan points")
+    fig1.add_argument("--points", type=int, dest="scan.points", metavar="POINTS",
+                      help="number of scan points")
     fig3 = sub.add_parser("fig3", parents=[common],
                           help="coincidence probability vs rotation rate (CSV)")
-    fig3.add_argument("--omega-max", type=float, dest="omega_max",
-                      help="largest rotation rate in rad/s")
-    fig3.add_argument("--points", type=int, help="number of sweep points")
+    fig3.add_argument("--omega-max", type=float, dest="sweep.omega_max",
+                      metavar="OMEGA_MAX", help="largest rotation rate in rad/s")
+    fig3.add_argument("--points", type=int, dest="sweep.points", metavar="POINTS",
+                      help="number of sweep points")
     equiv = sub.add_parser("equivalence", parents=[common],
                            help="turntable velocity equivalent to a rotating mass")
     equiv.add_argument("--method", choices=("metric", "timeshift"),
                        default="metric")
     sub.add_parser("feasibility", parents=[common],
                    help="minimum speeds, windings, g-forces, coherence lengths")
-    hom = sub.add_parser("hom", parents=[common],
+    hom = sub.add_parser("hom", parents=[guarded],
                          help="single-photon and two-photon interference for a delay")
     hom.add_argument("--spectrum", type=Path, metavar="PATH",
                      help="two-column omega,density file replacing the Gaussian")
     sub.add_parser("fiber", parents=[common],
                    help="moving dispersive fiber loop: velocities, phases, dip shifts")
-    sub.add_parser("verify", parents=[common],
+    sub.add_parser("verify", parents=[csv],
                    help="run the built-in cross-validation suite")
     return parser
 
@@ -565,31 +594,15 @@ def main(argv: list[str] | None = None) -> int:
 
         config = load_config(args.config) if args.config is not None else {}
         overrides = dict(parse_override(item) for item in args.overrides)
-        if args.command in _FIGURES:
-            defaults, runner, flags = _FIGURES[args.command]
-            for flag, key in flags.items():
-                if getattr(args, flag) is not None:
-                    overrides[key] = getattr(args, flag)
-            scenario = Scenario.assemble(defaults, config, overrides)
-            header, columns, warns = runner(scenario)  # validates before any file opens
-            for line in warns:
-                sys.stderr.write(line + "\n")
-            if args.csv is None:
-                _write_table(sys.stdout, header, columns)
-            else:
-                with open(args.csv, "w", newline="\n") as handle:
-                    _write_table(handle, header, columns)
-            return 0
-
+        overrides.update((key, value) for key, value in vars(args).items()
+                         if "." in key and value is not None)  # shorthand flags win
         defaults, runner = _COMMANDS[args.command]
         scenario = Scenario.assemble(defaults, config, overrides)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = runner(scenario, args)
+            report = runner(scenario, args)  # validates everything before any output
         _report_warnings(report, caught)
-        sys.stdout.write(report.render())
-        if args.csv is not None:
-            _write_text(args.csv, report.to_csv())
+        report.write(args.csv)
         return 0
     except GuardViolation as exc:
         sys.stderr.write(f"ERROR guard: {exc}\n")

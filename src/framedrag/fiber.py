@@ -318,5 +318,7 @@ def downconverted_coincidence_closed(sigma: float, delta_alpha: float, length: f
     """Gaussian closed form (1 - exp(-sigma^2 delta_alpha^2 L^2))/2."""
     check_positive(sigma, "sigma")
     check_positive(length, "length")
+    if not math.isfinite(delta_alpha):  # signed, so no range check
+        raise ValueError(f"delta_alpha must be finite, got {delta_alpha!r}")
     x = sigma * delta_alpha * length
     return 0.5 * (1.0 - math.exp(-x * x))

@@ -49,9 +49,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check: its worst deviation, the bound it must not exceed, and the margin line."""
+
     name: str
-    passed: bool
+    worst: float
+    bound: float
     detail: str
+
+    @property
+    def passed(self) -> bool:
+        return self.worst <= self.bound  # a NaN worst fails
 
 
 @dataclass(frozen=True)
@@ -63,13 +70,21 @@ class UnreproducedTarget:
     context: str
 
 
-def _result(name: str, worst: float, bound: float, points: int,
-            label: str = "max") -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=worst <= bound,
-        detail=f"{label} {worst:.3e} vs bound {bound:.3e} over {points} points",
-    )
+_FORM = "{label} {worst:.3e} vs bound {bound:.3e} over {count} points"
+
+
+def _worst(values) -> float:
+    """The largest value, or NaN if any value is NaN (``max`` would skip it)."""
+    values = [float(value) for value in values]
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def _result(name: str, deviations: list, bound: float, label: str = "max",
+            form: str = _FORM) -> CheckResult:
+    """The one reducer: a check passes when its worst deviation is <= bound."""
+    worst = _worst(deviations)
+    detail = form.format(label=label, worst=worst, bound=bound, count=len(deviations))
+    return CheckResult(name=name, worst=worst, bound=bound, detail=detail)
 
 
 # --- Kerr light speeds ------------------------------------------------------
@@ -88,14 +103,10 @@ _NULL_GRID: Sequence[tuple[float, float, float]] = (
 
 
 def check_null_residual() -> CheckResult:
-    worst = 0.0
-    count = 0
-    for r_s, a, r in _NULL_GRID:
-        point = kerr.KerrPoint(source=GravSource(r_s=r_s, a=a), r=r)
-        for direction in ("co", "counter"):
-            worst = max(worst, kerr.null_residual(point, direction))
-            count += 1
-    return _result("null-residual", worst, 1.0e-12, count)
+    points = [kerr.KerrPoint(source=GravSource(r_s=r_s, a=a), r=r) for r_s, a, r in _NULL_GRID]
+    return _result("null-residual", [kerr.null_residual(point, direction)
+                                     for point in points for direction in ("co", "counter")],
+                   1.0e-12)
 
 
 def _mp_full_speed(r_s, a, r, sign):
@@ -118,8 +129,7 @@ def check_weak_vs_full(weak_fn: Callable[..., float] | None = None) -> CheckResu
     """
     import mpmath as mp
 
-    worst = 0.0
-    count = 0
+    deviations = []
     low_exp = mp.mpf(-12) if weak_fn is None else mp.mpf(-5)
     with mp.workdps(50):
         for rs_over_r in mp.linspace(low_exp, mp.mpf(-3), 5):
@@ -138,28 +148,21 @@ def check_weak_vs_full(weak_fn: Callable[..., float] | None = None) -> CheckResu
                         point = kerr.KerrPoint(
                             source=GravSource(r_s=float(r_s), a=float(a)), r=1.0)
                         weak = mp.mpf(weak_fn(point, direction, force=True))
-                    worst = max(worst, float(abs(weak - full) / envelope))
-                    count += 1
-    return CheckResult(
-        name="weak-vs-full-envelope",
-        passed=worst <= 1.0,
-        detail=f"max error/envelope {worst:.3e} (K=1) over {count} points",
-    )
+                    deviations.append(abs(weak - full) / envelope)
+    return _result("weak-vs-full-envelope", deviations, 1.0, label="max error/envelope",
+                   form="{label} {worst:.3e} (K=1) over {count} points")
 
 
 def check_frame_drag_asymmetry() -> CheckResult:
     """c_co - |c_counter| equals 2 r_s a / r^2 within 1% in the weak field."""
-    worst = 0.0
-    count = 0
+    deviations = []
     for rs_over_r in (1.0e-8, 1.0e-7, 9.0e-7):
         for a_over_r in (1.0e-5, 1.0e-4, 1.0e-3):
             point = kerr.KerrPoint(source=GravSource(r_s=rs_over_r, a=a_over_r), r=1.0)
             pair = kerr.light_speed_pair(point, mode="full")
-            asym = pair.c_co - pair.c_counter
             expected = 2.0 * rs_over_r * a_over_r
-            worst = max(worst, abs(asym - expected) / expected)
-            count += 1
-    return _result("frame-drag-asymmetry", worst, 0.01, count, label="max rel dev")
+            deviations.append(abs(pair.c_co - pair.c_counter - expected) / expected)
+    return _result("frame-drag-asymmetry", deviations, 0.01, label="max rel dev")
 
 
 # --- interference -----------------------------------------------------------
@@ -169,39 +172,30 @@ def check_hom_closed_vs_quadrature() -> CheckResult:
 
     sigma = 3.5e3
     packet = Wavepacket.gaussian(2.0e6, sigma)
-    worst = 0.0
-    samples = np.linspace(0.0, 10.0, 21)
-    for x in samples:
-        delta_t = x / sigma
-        closed = interference.hom_coincidence_gaussian(sigma, delta_t)
-        general = interference.hom_coincidence_general(packet, delta_t)
-        worst = max(worst, abs(closed - general))
-    return _result("hom-closed-vs-quadrature", worst, 1.0e-9, len(samples))
+    delays = np.linspace(0.0, 10.0, 21) / sigma
+    return _result("hom-closed-vs-quadrature",
+                   [abs(interference.hom_coincidence_gaussian(sigma, delta_t)
+                        - interference.hom_coincidence_general(packet, delta_t))
+                    for delta_t in delays], 1.0e-9)
 
 
 def check_single_photon_closed_vs_quadrature() -> CheckResult:
     omega0, sigma = 2.0e6, 3.5e3
     packet = Wavepacket.gaussian(omega0, sigma)
-    worst = 0.0
-    phases = (0.0, 7.0e-3, 0.05)
-    for delta_phi in phases:
-        closed = interference.single_photon_prob_gaussian(delta_phi, omega0, sigma)
-        quadrature = interference.single_photon_prob_quadrature(delta_phi, packet)
-        worst = max(worst, abs(closed - quadrature))
-    return _result("single-photon-closed-vs-quadrature", worst, 1.0e-9, len(phases))
+    return _result("single-photon-closed-vs-quadrature",
+                   [abs(interference.single_photon_prob_gaussian(delta_phi, omega0, sigma)
+                        - interference.single_photon_prob_quadrature(delta_phi, packet))
+                    for delta_phi in (0.0, 7.0e-3, 0.05)], 1.0e-9)
 
 
 def check_fock_vs_quadrature(bins: int = 1024) -> CheckResult:
     sigma = 3.5e3
     packet = Wavepacket.gaussian(2.0e6, sigma)
-    worst = 0.0
-    samples = (0.0, 0.5, 1.0, 2.0, 5.0)
-    for x in samples:
-        delta_t = x / sigma
-        fock = interference.fock_oracle_hom(packet, delta_t, bins=bins)
-        general = interference.hom_coincidence_general(packet, delta_t)
-        worst = max(worst, abs(fock - general))
-    return _result("fock-vs-quadrature", worst, 1.0e-6, len(samples))
+    delays = [x / sigma for x in (0.0, 0.5, 1.0, 2.0, 5.0)]
+    return _result("fock-vs-quadrature",
+                   [abs(interference.fock_oracle_hom(packet, delta_t, bins=bins)
+                        - interference.hom_coincidence_general(packet, delta_t))
+                    for delta_t in delays], 1.0e-6)
 
 
 def check_fock_unitarity(bins: int = 512) -> CheckResult:
@@ -209,41 +203,34 @@ def check_fock_unitarity(bins: int = 512) -> CheckResult:
 
     packet = Wavepacket.gaussian(2.0e6, 3.5e3)
     omegas, weights = interference.fock_grid(packet, bins)
-    worst = 0.0
-    samples = (0.0, 2.0e-4, 1.0e-3)
-    for delta_t in samples:
-        p_c, p_b = hom_pair_probabilities(weights, omegas, delta_t)
-        worst = max(worst, abs(p_c + p_b - 1.0))
-    return _result("fock-unitarity", worst, 1.0e-12, len(samples))
+    return _result("fock-unitarity",
+                   [abs(sum(hom_pair_probabilities(weights, omegas, delta_t)) - 1.0)
+                    for delta_t in (0.0, 2.0e-4, 1.0e-3)], 1.0e-12)
 
 
 def check_visibility_exponent_ratio() -> CheckResult:
     """-ln(V_single) is exactly twice -ln(1 - 2 P_coincidence) for Gaussians."""
     sigma = 3.5e3
-    worst = 0.0
-    samples = (0.5, 1.0, 2.0)
-    for x in samples:
+    deviations = []
+    for x in (0.5, 1.0, 2.0):
         delta_t = x / sigma
         vis = interference.gaussian_visibility(delta_t, sigma)
         coin = interference.hom_coincidence_gaussian(sigma, delta_t)
-        ratio = math.log(vis) / math.log(1.0 - 2.0 * coin)
-        worst = max(worst, abs(ratio - 2.0))
-    return _result("visibility-exponent-ratio", worst, 1.0e-12, len(samples),
-                   label="max |ratio-2|")
+        deviations.append(abs(math.log(vis) / math.log(1.0 - 2.0 * coin) - 2.0))
+    return _result("visibility-exponent-ratio", deviations, 1.0e-12, label="max |ratio-2|")
 
 
 def check_wavepacket_normalization() -> CheckResult:
     from scipy.integrate import quad
 
-    worst = 0.0
-    cases = ((2.0e6, 3.5e3), (8.0e6, 4000.0 * math.pi), (1.0e6, 1.0e5))
-    for omega0, sigma in cases:
+    deviations = []
+    for omega0, sigma in ((2.0e6, 3.5e3), (8.0e6, 4000.0 * math.pi), (1.0e6, 1.0e5)):
         packet = Wavepacket.gaussian(omega0, sigma)
         total, _ = quad(lambda w: float(packet.density(w)),
                         omega0 - 12.0 * sigma, omega0 + 12.0 * sigma,
                         epsabs=1.0e-13, epsrel=1.0e-11, limit=200)
-        worst = max(worst, abs(total - 1.0))
-    return _result("wavepacket-normalization", worst, 1.0e-10, len(cases))
+        deviations.append(abs(total - 1.0))
+    return _result("wavepacket-normalization", deviations, 1.0e-10)
 
 
 # --- two-way isotropy -------------------------------------------------------
@@ -252,21 +239,21 @@ def check_two_way_turntable(samples: int = 100, seed: int = 20250814) -> CheckRe
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations = []
     for _ in range(samples):
         v = float(rng.uniform(0.0, 0.99))
         r_t = float(rng.uniform(1.0e-2, 1.0e3))
         omega = float(rng.uniform(1.0, 1.0e7))
         phi_a, _, diff = turntable.two_way_phase_turntable(v, r_t, omega)
-        worst = max(worst, abs(diff) / abs(phi_a))
-    return _result("two-way-turntable", worst, 1.0e-12, samples, label="max rel diff")
+        deviations.append(abs(diff) / abs(phi_a))
+    return _result("two-way-turntable", deviations, 1.0e-12, label="max rel diff")
 
 
 def check_two_way_kerr(samples: int = 100, seed: int = 20250814) -> CheckResult:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations = []
     for _ in range(samples):
         rs_over_r = float(10.0 ** rng.uniform(-12.0, math.log10(0.0099)))
         a_over_r = float(10.0 ** rng.uniform(-12.0, math.log10(0.0099)))
@@ -274,8 +261,8 @@ def check_two_way_kerr(samples: int = 100, seed: int = 20250814) -> CheckResult:
         local = kerr.local_two_way_speed(point)
         # |c_two_way - 1| is quadratic in r_s/r; allow rounding headroom
         bound = 2.0 * rs_over_r * rs_over_r + 8.0 * np.finfo(float).eps
-        worst = max(worst, abs(local - 1.0) / bound)
-    return _result("two-way-kerr-local", worst, 1.0, samples, label="max |dev|/bound")
+        deviations.append(abs(local - 1.0) / bound)
+    return _result("two-way-kerr-local", deviations, 1.0, label="max |dev|/bound")
 
 
 # --- turntable equivalence --------------------------------------------------
@@ -289,7 +276,7 @@ _EQUIV_GRID: Sequence[tuple[float, float, float]] = (
 
 
 def check_equivalence_closure() -> CheckResult:
-    worst = 0.0
+    deviations = []
     for r_s, a, r in _EQUIV_GRID:
         source = GravSource(r_s=r_s, a=a)
         v = turntable.equivalence_velocity_metric(source, r).v
@@ -302,36 +289,31 @@ def check_equivalence_closure() -> CheckResult:
             (kerr_metric.g_tphi * scale, rotating.g_tphi),
             (kerr_metric.g_phiphi, rotating.g_phiphi),
         )
-        for ours, target in pairs:
-            worst = max(worst, abs(ours - target) / abs(target))
-    return _result("equivalence-closure", worst, 1.0e-12, 3 * len(_EQUIV_GRID),
-                   label="max rel dev")
+        deviations += [abs(ours - target) / abs(target) for ours, target in pairs]
+    return _result("equivalence-closure", deviations, 1.0e-12, label="max rel dev")
 
 
 def check_timeshift_metric_consistency() -> CheckResult:
-    worst = 0.0
+    deviations = []
     for r_s, a, r in _EQUIV_GRID:
         source = GravSource(r_s=r_s, a=a)
         v_metric = turntable.equivalence_velocity_metric(source, r).v
         v_shift = turntable.equivalence_velocity_timeshift(
             source, r, r_t=r, metric_time=True).v
-        worst = max(worst, abs(v_shift - v_metric) / v_metric)
-    return _result("timeshift-metric-consistency", worst, 1.0e-12, len(_EQUIV_GRID),
-                   label="max rel dev")
+        deviations.append(abs(v_shift - v_metric) / v_metric)
+    return _result("timeshift-metric-consistency", deviations, 1.0e-12, label="max rel dev")
 
 
 def check_sagnac_hom_delay_consistency() -> CheckResult:
     """sagnac_phase/omega equals the loop delay 2vL/(1-v^2) used by the dip."""
-    worst = 0.0
-    cases = ((4.19e-9, 1.0e4), (1.0e-6, 2.0e3), (0.3, 12.0))
+    deviations = []
     model = fiber.RefractiveModel.constant(1.0)
-    for v, length in cases:
+    for v, length in ((4.19e-9, 1.0e4), (1.0e-6, 2.0e3), (0.3, 12.0)):
         delay = turntable.sagnac_phase(1.0, 2.0 * length, v)  # omega = 1
         arms = fiber.FiberArms(length=length, delta_length=0.0, model=model, v=v)
         dip = fiber.hom_dip_shift(arms)
-        worst = max(worst, abs(dip.delta_t_total - delay) / delay)
-    return _result("sagnac-hom-delay-consistency", worst, 1.0e-12, len(cases),
-                   label="max rel dev")
+        deviations.append(abs(dip.delta_t_total - delay) / delay)
+    return _result("sagnac-hom-delay-consistency", deviations, 1.0e-12, label="max rel dev")
 
 
 # --- moving medium ----------------------------------------------------------
@@ -349,11 +331,13 @@ def _grid_coeffs(delta_alpha: float, beta: float) -> fiber.DispersionCoefficient
 def check_dispersion_cancellation(
     coincidence_fn: Callable[..., float] = fiber.downconverted_coincidence,
 ) -> CheckResult:
-    """Perturbing beta_+- by +-50% must not move the coincidence probability."""
+    """Perturbing beta_+- by +-50% must not move the coincidence probability.
+
+    One deviation per grid point: the larger relative change of its two perturbations.
+    """
     length = 1.0e4
     beta = -1.9e-11
-    worst = 0.0
-    count = 0
+    deviations = []
     # sigma capped at 5e3: beyond that the common quadratic phase
     # beta*w^2*L exceeds ~1e4 rad and its double rounding alone moves the
     # probability by more than the 1e-12 budget being asserted
@@ -361,6 +345,7 @@ def check_dispersion_cancellation(
         for x in (0.05, 0.3, 1.0, 2.0, 3.0):
             delta_alpha = x / (sigma * length)
             base = coincidence_fn(sigma, _grid_coeffs(delta_alpha, beta), length)
+            changes = []
             for factor in (1.5, 0.5):
                 perturbed = fiber.DispersionCoefficients(
                     alpha_plus=1.0 / 0.69 + 0.5 * delta_alpha,
@@ -369,25 +354,22 @@ def check_dispersion_cancellation(
                     beta_minus=beta / factor,
                 )
                 moved = coincidence_fn(sigma, perturbed, length)
-                worst = max(worst, abs(moved - base) / base)
-            count += 1
-    return _result("dispersion-cancellation", worst, 1.0e-12, count,
-                   label="max rel change")
+                changes.append(abs(moved - base) / base)
+            deviations.append(_worst(changes))
+    return _result("dispersion-cancellation", deviations, 1.0e-12, label="max rel change")
 
 
 def check_downconverted_closed_vs_quadrature() -> CheckResult:
     length = 1.0e4
     beta = -1.9e-11
-    worst = 0.0
-    samples = (0.1, 0.25, 1.0, 2.0)
-    for x in samples:
-        sigma = 3.5e3
-        delta_alpha = x / (sigma * length)
-        coeffs = _grid_coeffs(delta_alpha, beta)
+    sigma = 3.5e3
+    deviations = []
+    for x in (0.1, 0.25, 1.0, 2.0):
+        coeffs = _grid_coeffs(x / (sigma * length), beta)
         quadrature = fiber.downconverted_coincidence(sigma, coeffs, length)
         closed = fiber.downconverted_coincidence_closed(sigma, coeffs.delta_alpha, length)
-        worst = max(worst, abs(quadrature - closed))
-    return _result("downconverted-closed-vs-quadrature", worst, 1.0e-9, len(samples))
+        deviations.append(abs(quadrature - closed))
+    return _result("downconverted-closed-vs-quadrature", deviations, 1.0e-9)
 
 
 def check_silica_derivatives() -> CheckResult:
@@ -424,12 +406,8 @@ def check_silica_derivatives() -> CheckResult:
             direction = "co" if sign > 0 else "counter"
             analytic = fiber.gvd_moving(model, k0, v, direction)
             ratios.append(float(abs(fd_curv - analytic) / abs(fd_curv)) / 1.0e-6)
-    worst = max(ratios)
-    return CheckResult(
-        name="silica-derivatives",
-        passed=worst <= 1.0,
-        detail=f"max dev/tolerance {worst:.3e} over {len(ratios)} derivatives",
-    )
+    return _result("silica-derivatives", ratios, 1.0, label="max dev/tolerance",
+                   form="{label} {worst:.3e} over {count} derivatives")
 
 
 # --- suite ------------------------------------------------------------------

@@ -61,6 +61,7 @@ class TurntableConfig:
     def __post_init__(self) -> None:
         check_positive(self.r_t, "r_t")
         check_speed(self.v)
+        check_at_least(self.omega_rot, 0.0, "omega_rot")  # v c / r_t overflows for tiny r_t
         check_at_least(self.windings, 0, "windings")
 
     @classmethod
@@ -157,6 +158,7 @@ def turntable_roundtrip_shift(v: float, r_t: float) -> float:
     co-rotating closing time L/(1-v) - L.
     """
     check_speed(v)
+    check_positive(r_t, "r_t")
     circumference = 2.0 * math.pi * r_t / math.sqrt(1.0 - v * v)
     return circumference / (1.0 - v) - circumference
 
@@ -226,6 +228,7 @@ def winding_hom_exponent(sigma: float, v: float, r_t: float, windings: int = 0) 
     Equals 8 sigma^2 v^2 (2N+1)^2 pi^2 r_t^2 / (1 - v^2); crossing 2 marks
     the significant-loss threshold used by min_velocity_for_visibility.
     """
+    check_positive(sigma, "sigma")
     delta_t = fiber_loop_delay(v, winding_arm_length(r_t, v, windings))
     return 0.5 * (sigma * delta_t) ** 2
 

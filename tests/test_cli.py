@@ -277,9 +277,10 @@ def test_fig1_reports_unmet_visibility_target(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--points", "1"], "n_points must be finite and >= 2, got 1"),
-    (["--set", "light.sigma=-1"], "sigma must be finite and positive, got -1.0"),
-], ids=["points-1", "negative-sigma"])
+    (["--points", "1"], "scan.points must be finite and >= 2, got 1"),
+    (["--r-max", "-5"], "scan.r_max must be finite and positive, got -5.0"),
+    (["--set", "light.sigma=-1"], "light.sigma must be finite and positive, got -1.0"),
+], ids=["points-1", "negative-r-max", "negative-sigma"])
 def test_fig1_rejects_bad_scan(capsys, tmp_path, argv, message):
     path = tmp_path / "fig1.csv"
     for extra in ([], ["--csv", str(path)]):
@@ -379,6 +380,20 @@ def test_missing_config_exits_2(capsys):
     code, _, err = run_cli(capsys, "kerr", "--config", "/nonexistent/path.cfg")
     assert code == 2
     assert err.startswith("ERROR validation:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--set", "light.sigma=1"],
+    ["verify", "--config", "x.cfg"],
+    ["fig1", "--override-guards"],
+    ["fiber", "--override-guards"],
+], ids=["verify-set", "verify-config", "fig1-override-guards", "fiber-override-guards"])
+def test_unused_option_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
 
 
 def test_guard_violation_exits_2_and_can_be_forced(capsys):
@@ -499,7 +514,7 @@ def test_random_overrides_give_finite_values_or_a_named_error(command, overrides
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli.reference, "run_all_checks", lambda: [
-        CheckResult(name="broken-check", passed=False, detail="max 1 vs bound 0")])
+        CheckResult(name="broken-check", worst=1.0, bound=0.0, detail="max 1 vs bound 0")])
     code, out, _ = run_cli(capsys, "verify")
     assert code == 3
     assert "FAIL broken-check: max 1 vs bound 0" in out

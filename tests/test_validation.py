@@ -59,6 +59,7 @@ CASES = [
      "n_points", "at-least-2"),
     (TurntableConfig, dict(r_t=0.2, v=0.1, omega_rot=1.0), "r_t", "positive"),
     (TurntableConfig, dict(r_t=0.2, v=0.1, omega_rot=1.0), "v", "speed"),
+    (TurntableConfig, dict(r_t=0.2, v=0.1, omega_rot=1.0), "omega_rot", "non-negative"),
     (TurntableConfig, dict(r_t=0.2, v=0.1, omega_rot=1.0, windings=0), "windings",
      "non-negative"),
     (TurntableConfig.from_velocity, dict(r_t=0.2, v=0.1), "v", "speed"),
@@ -74,6 +75,7 @@ CASES = [
     (turntable.equivalence_velocity_timeshift, dict(source=SOURCE, r=6.37e6, r_t=0.2),
      "r_t", "positive"),
     (turntable.turntable_roundtrip_shift, dict(v=0.1, r_t=0.2), "v", "speed"),
+    (turntable.turntable_roundtrip_shift, dict(v=0.1, r_t=0.2), "r_t", "positive"),
     (turntable.kerr_roundtrip_shift, dict(source=SOURCE, r=6.37e6), "r", "positive"),
     (turntable.sagnac_phase, dict(omega=1.0, length=1.0, v=0.1), "omega", "positive"),
     (turntable.sagnac_phase, dict(omega=1.0, length=1.0, v=0.1), "length", "positive"),
@@ -94,6 +96,8 @@ CASES = [
     (turntable.winding_arm_length, dict(r_t=0.2, v=0.1), "v", "speed"),
     (turntable.winding_arm_length, dict(r_t=0.2, v=0.1, windings=0), "windings",
      "non-negative"),
+    (turntable.winding_hom_exponent, dict(sigma=3.3e3, v=0.1, r_t=0.2), "sigma",
+     "positive"),
     (turntable.winding_hom_exponent, dict(sigma=3.3e3, v=0.1, r_t=0.2), "v", "speed"),
     (turntable.winding_hom_exponent, dict(sigma=3.3e3, v=0.1, r_t=0.2), "r_t", "positive"),
     (turntable.two_way_phase_turntable, dict(v=0.1, r_t=0.2, omega=1.0), "v", "speed"),
@@ -139,6 +143,8 @@ CASES = [
                                                   length=1.0e4), "sigma", "positive"),
     (fiber.downconverted_coincidence_closed, dict(sigma=1.0e4, delta_alpha=1e-8,
                                                   length=1.0e4), "length", "positive"),
+    (fiber.downconverted_coincidence_closed, dict(sigma=1.0e4, delta_alpha=1e-8,
+                                                  length=1.0e4), "delta_alpha", "finite"),
     (Wavepacket, dict(omega0=2.0e6, sigma=3.5e3), "omega0", "positive"),
     (Wavepacket, dict(omega0=2.0e6, sigma=3.5e3), "sigma", "positive"),
     (interference.gaussian_visibility, dict(delta_t=1.0, sigma=1.0), "sigma", "positive"),
@@ -163,6 +169,12 @@ def test_checked_argument_rejects_non_finite_and_boundary_by_name(fn, kwargs, na
     with pytest.raises(ValueError) as info:
         fn(**{**kwargs, name: value})
     assert str(info.value).startswith(f"{LABELS.get(name, name)} must be "), str(info.value)
+
+
+def test_turntable_from_velocity_rejects_an_overflowing_rate():
+    # v c / r_t is inf for a subnormal radius that passes the r_t check
+    with pytest.raises(ValueError, match="^omega_rot must be finite and >= 0, got inf$"):
+        TurntableConfig.from_velocity(1e-310, 0.5)
 
 
 @pytest.mark.parametrize("fn, args", [

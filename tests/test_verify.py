@@ -1,8 +1,11 @@
 """The built-in cross-validation suite: all green, and tampering gets caught."""
 
+import math
+import re
+
 import pytest
 
-from framedrag import fiber, kerr, reference
+from framedrag import cli, fiber, kerr, reference
 
 
 def test_all_checks_pass():
@@ -12,7 +15,8 @@ def test_all_checks_pass():
     names = [res.name for res in results]
     assert len(set(names)) == len(names)
     for res in results:
-        assert res.detail  # every check reports its margin
+        assert res.passed == (res.worst <= res.bound), res.name  # the one pass rule
+        assert f"{res.worst:.3e}" in res.detail, res.name  # the margin line shows the worst
 
 
 def test_shipped_weak_formula_clears_envelope():
@@ -38,6 +42,39 @@ def test_beta_dependence_is_caught():
         return real * (1.0 + 1.0e6 * abs(coeffs.beta_sum))
 
     assert not reference.check_dispersion_cancellation(coincidence_fn=leaky).passed
+
+
+def test_nan_deviation_fails_the_check():
+    # max(0.0, nan) is 0.0, so a running max would have reported these as PASS
+    def nan_coincidence(sigma, coeffs, length):
+        return math.nan
+
+    def nan_weak(point, direction, force=True):
+        return math.nan
+
+    for result in (reference.check_dispersion_cancellation(coincidence_fn=nan_coincidence),
+                   reference.check_weak_vs_full(weak_fn=nan_weak)):
+        assert math.isnan(result.worst)
+        assert result.passed is False
+        assert " nan " in result.detail
+
+
+def test_verify_calls_each_check_once_by_module_name(monkeypatch, capsys):
+    # The traced benchmark wraps every reference.check_* attribute and needs one
+    # span per verify line, so run_all_checks must look each check up by name.
+    calls = []
+    checks = [name for name in dir(reference) if name.startswith("check_")]
+    for name in checks:
+        def counting(*args, _name=name, _check=getattr(reference, name), **kwargs):
+            result = _check(*args, **kwargs)
+            calls.append((_name, result.name))
+            return result
+
+        monkeypatch.setattr(reference, name, counting)
+    assert cli.main(["verify"]) == 0
+    printed = re.findall(r"^(?:PASS|FAIL) ([\w-]+):", capsys.readouterr().out, re.M)
+    assert sorted(name for name, _ in calls) == sorted(checks)
+    assert [result_name for _, result_name in calls] == printed
 
 
 def test_unreproduced_targets_values():
