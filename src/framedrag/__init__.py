@@ -18,7 +18,7 @@ from .constants import (
 from .errors import GuardViolation
 from .fiber import DispersionCoefficients, FiberArms, RefractiveModel
 from .interference import Wavepacket
-from .kerr import KerrPoint, LightSpeedPair, MetricComponents, ScanResult
+from .kerr import KerrPoint, MetricComponents, ScanResult
 from .turntable import EquivalenceResult, TurntableConfig
 
 __version__ = "0.1.0"
@@ -35,7 +35,6 @@ __all__ = [
     "RefractiveModel",
     "Wavepacket",
     "KerrPoint",
-    "LightSpeedPair",
     "MetricComponents",
     "ScanResult",
     "EquivalenceResult",

@@ -201,10 +201,11 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("g_tphi", metric.g_tphi, "m", "metric-kerr")
     report.output("g_phiphi", metric.g_phiphi, "m^2", "metric-kerr")
 
-    pair_full = kerr.light_speed_pair(point, mode="full")
-    report.output("c_co_full", pair_full.c_co, "c", "light-speed-full")
-    report.output("c_counter_full", pair_full.c_counter, "c", "light-speed-full")
-    if pair_full.counter_dragged_forward:
+    c_co_full = kerr.light_speed_full(point, "co")
+    c_counter_full = kerr.light_speed_full(point, "counter")
+    report.output("c_co_full", c_co_full, "c", "light-speed-full")
+    report.output("c_counter_full", abs(c_counter_full), "c", "light-speed-full")
+    if c_counter_full > 0.0:
         report.warn("frame-drag", "inside the ergosphere: the counter branch "
                                   "is dragged into co-rotation (both signed "
                                   "speeds are positive).")
@@ -215,25 +216,25 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
             "the full-mode delay, phase and detection probability are undefined.")
     delay_full = kerr.kerr_time_delay_full(point, length)
     report.output("delay_full", delay_full, "m", "kerr-delay-full")
-    phase_full = kerr.kerr_phase_difference(point, length, omega0, mode="full")
+    check_positive(omega0, "light.omega0")
+    phase_full = omega0 * delay_full
     report.output("phase_full", phase_full, "rad", "kerr-phase-full")
 
-    weak_ok = True
     try:
-        pair_weak = kerr.light_speed_pair(point, mode="weak", force=force)
+        c_co_weak = kerr.light_speed_weak(point, "co", force=force)
+        c_counter_weak = kerr.light_speed_weak(point, "counter", force=force)
     except GuardViolation as exc:
-        weak_ok = False
         report.warn("weak-field-guard", f"{exc} Weak-expansion outputs are "
                                         "omitted (pass --override-guards to force).")
-    if weak_ok:
-        report.output("c_co_weak", pair_weak.c_co, "c", "light-speed-weak")
-        report.output("c_counter_weak", pair_weak.c_counter, "c", "light-speed-weak")
-        delay_weak = kerr.kerr_time_delay(point, length)
-        report.output("delay_weak", delay_weak, "m", "kerr-delay-weak")
-        phase_weak = kerr.kerr_phase_difference(point, length, omega0,
-                                                mode="weak", force=force)
-        report.output("phase_weak", phase_weak, "rad", "kerr-phase-weak")
-        report.output("phase_weak_mod_2pi", math.fmod(phase_weak, 2.0 * math.pi),
+        delay, phase = delay_full, phase_full
+    else:
+        report.output("c_co_weak", c_co_weak, "c", "light-speed-weak")
+        report.output("c_counter_weak", abs(c_counter_weak), "c", "light-speed-weak")
+        delay = kerr.kerr_time_delay(point, length)
+        report.output("delay_weak", delay, "m", "kerr-delay-weak")
+        phase = kerr.kerr_phase_difference(point, length, omega0, force=force)
+        report.output("phase_weak", phase, "rad", "kerr-phase-weak")
+        report.output("phase_weak_mod_2pi", math.fmod(phase, 2.0 * math.pi),
                       "rad", "kerr-phase-weak")
         report.output("roundtrip_mean_speed",
                       kerr.roundtrip_mean_speed(point, force=force), "c",
@@ -242,16 +243,13 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
                       kerr.local_two_way_speed(point, force=force), "c",
                       "local-two-way-speed")
 
-    delay_for_vis = delay_weak if weak_ok else delay_full
-    report.output("visibility", interference.gaussian_visibility(delay_for_vis, sigma),
+    report.output("visibility", interference.gaussian_visibility(delay, sigma),
                   None, "gaussian-visibility")
-    phase_for_prob = phase_weak if weak_ok else phase_full
-    _guard_phase_resolution(phase_for_prob)
-    report.output("photon_prob_mono", interference.single_photon_prob(phase_for_prob),
+    _guard_phase_resolution(phase)
+    report.output("photon_prob_mono", interference.single_photon_prob(phase),
                   None, "single-photon-prob")
     report.output("photon_prob_gaussian",
-                  interference.single_photon_prob_gaussian(
-                      phase_for_prob, omega0, sigma, force=force),
+                  interference.single_photon_prob_gaussian(phase, omega0, sigma, force=force),
                   None, "single-photon-gaussian")
 
     _warn_earth_radius(report, source, point.r)

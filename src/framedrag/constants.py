@@ -28,14 +28,13 @@ class PhysicalConstants:
 
     c is exact by definition; G is the CODATA value rounded to the digits
     the rest of the pipeline is sensitive to.  The Earth entries are the
-    canonical mass, mean radius and spin angular momentum used for the
-    stock Earth scenarios.
+    canonical mass and spin angular momentum used for the stock Earth
+    scenarios.
     """
 
     c: float = 299_792_458.0          # m/s, exact
     G: float = 6.674e-11              # m^3 kg^-1 s^-2
     earth_mass: float = 5.972e24      # kg
-    earth_radius: float = 6.371e6     # m
     earth_angular_momentum: float = 7.07e33  # kg m^2 / s
 
 

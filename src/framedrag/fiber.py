@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS
 from .errors import check_at_least, check_positive, check_speed, direction_sign
+from .interference import _QUAD_OPTS
 from .turntable import fiber_loop_delay, sagnac_phase
 
 __all__ = [
@@ -157,9 +158,12 @@ def gvd_moving(model: RefractiveModel, k: float, v: float, direction: str) -> fl
     n_p = model.n_prime(k)
     n_pp = model.n_double_prime(k)
     denom = n - s * v
-    return (1.0 - v * v) * (
-        -(2.0 * n_p + k * n_pp) / denom**2 + 2.0 * k * n_p * n_p / denom**3
-    )
+    try:
+        return (1.0 - v * v) * (
+            -(2.0 * n_p + k * n_pp) / denom**2 + 2.0 * k * n_p * n_p / denom**3
+        )
+    except OverflowError:
+        raise OverflowError(f"gvd_moving overflows in the powers of n -+ v = {denom!r}") from None
 
 
 @dataclass(frozen=True)
@@ -192,17 +196,12 @@ def dispersion_coefficients(model: RefractiveModel, k: float, v: float) -> Dispe
     beta = -(1/2) (d2omega/dk2) / v_g^3, the standard inversion of the
     omega(k) expansion.
     """
-    out = {}
-    for direction in ("co", "counter"):
+    def alpha_beta(direction: str) -> tuple[float, float]:
         v_g = group_velocity_moving(model, k, v, direction)
-        curv = gvd_moving(model, k, v, direction)
-        out[direction] = (1.0 / v_g, -0.5 * curv / v_g**3)
-    return DispersionCoefficients(
-        alpha_plus=out["co"][0],
-        alpha_minus=out["counter"][0],
-        beta_plus=out["co"][1],
-        beta_minus=out["counter"][1],
-    )
+        return 1.0 / v_g, -0.5 * gvd_moving(model, k, v, direction) / v_g**3
+
+    (alpha_plus, beta_plus), (alpha_minus, beta_minus) = alpha_beta("co"), alpha_beta("counter")
+    return DispersionCoefficients(alpha_plus, alpha_minus, beta_plus, beta_minus)
 
 
 def fiber_phase_difference(arms: FiberArms, omega0: float) -> float:
@@ -213,11 +212,7 @@ def fiber_phase_difference(arms: FiberArms, omega0: float) -> float:
     """
     check_positive(omega0, "omega0")
     n = arms.model.n(arms.model.k0)
-    mismatch = 0.0
-    if arms.delta_length != 0.0:
-        mismatch = omega0 * arms.delta_length * n / (1.0 - arms.v**2)
-    if arms.v == 0.0:
-        return mismatch
+    mismatch = omega0 * arms.delta_length * n / (1.0 - arms.v**2)
     return sagnac_phase(omega0, arms.length, arms.v) + mismatch
 
 
@@ -310,7 +305,7 @@ def downconverted_coincidence(sigma: float, coeffs: DispersionCoefficients,
                           math.sin((-da * w + bs * w * w) * length))
         return rho * 0.5 * abs(route_a - route_b) ** 2
 
-    value, _ = quad(integrand, -half, half, epsabs=1.0e-13, epsrel=1.0e-11, limit=500)
+    value, _ = quad(integrand, -half, half, **_QUAD_OPTS)
     return 0.5 * value
 
 

@@ -46,10 +46,10 @@ class SpectrumNormalizationWarning(UserWarning):
 class Wavepacket:
     """Photon spectral density |f(omega)|^2.
 
-    ``gaussian`` packets are defined by center ``omega0`` and width
-    ``sigma`` (density (1/(pi sigma^2))^(1/2) exp(-(omega-omega0)^2/sigma^2));
-    ``tabulated`` packets carry an explicit (omega, density) grid, are
-    renormalized on construction, and are treated downstream as
+    A packet without grids is Gaussian, defined by center ``omega0`` and
+    width ``sigma`` (density (1/(pi sigma^2))^(1/2) exp(-(omega-omega0)^2/sigma^2)).
+    A packet with grids is tabulated: it carries an explicit (omega, density)
+    grid, is renormalized on construction, and is treated downstream as
     trapezoid-weighted spectral atoms.  For tabulated packets omega0 is
     the grid mean and sigma is sqrt(2) times the grid standard deviation,
     matching the exp(-(omega-omega0)^2/sigma^2) width convention above
@@ -58,24 +58,18 @@ class Wavepacket:
 
     omega0: float
     sigma: float
-    shape: str = "gaussian"
     grid_omega: np.ndarray | None = None
     grid_density: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.shape not in ("gaussian", "tabulated"):
-            raise ValueError(f"shape must be 'gaussian' or 'tabulated', got {self.shape!r}")
         check_positive(self.omega0, "omega0")
         check_positive(self.sigma, "sigma")
-        if self.shape == "tabulated":
-            if self.grid_omega is None or self.grid_density is None:
-                raise ValueError("tabulated packets need grid_omega and grid_density")
-        elif self.grid_omega is not None or self.grid_density is not None:
-            raise ValueError("gaussian packets take no grid arrays")
+        if (self.grid_omega is None) != (self.grid_density is None):
+            raise ValueError("tabulated packets need both grid_omega and grid_density")
 
     @classmethod
     def gaussian(cls, omega0: float, sigma: float) -> "Wavepacket":
-        return cls(omega0=omega0, sigma=sigma, shape="gaussian")
+        return cls(omega0=omega0, sigma=sigma)
 
     @classmethod
     def tabulated(cls, omegas, density) -> "Wavepacket":
@@ -108,14 +102,13 @@ class Wavepacket:
         width = math.sqrt(2.0 * var) if var > 0.0 else np.spacing(mean)
         omegas.flags.writeable = False
         density.flags.writeable = False
-        return cls(omega0=mean, sigma=width,
-                   shape="tabulated", grid_omega=omegas, grid_density=density)
+        return cls(omega0=mean, sigma=width, grid_omega=omegas, grid_density=density)
 
     def density(self, omega):
         """Spectral density at ``omega`` (vectorized; zero outside a tabulated grid)."""
         import numpy as np
 
-        if self.shape == "gaussian":
+        if self.grid_omega is None:
             u = (np.asarray(omega, dtype=float) - self.omega0) / self.sigma
             return np.exp(-u * u) / (math.sqrt(math.pi) * self.sigma)
         return np.interp(omega, self.grid_omega, self.grid_density, left=0.0, right=0.0)
@@ -186,7 +179,7 @@ def _centered_cosine_transform(packet: Wavepacket, delta_t: float) -> float:
         return float(packet.density(omega0 + u))
 
     half = _GAUSS_WINDOW * sigma
-    if packet.shape == "tabulated":
+    if packet.grid_omega is not None:
         half = max(half, float(packet.grid_omega[-1] - packet.grid_omega[0]))
     if delta_t == 0.0:
         left, _ = quad(centered, -half, 0.0, **_QUAD_OPTS)
@@ -213,7 +206,10 @@ def single_photon_prob_quadrature(delta_phi: float, packet: Wavepacket) -> float
 def hom_coincidence_gaussian(sigma: float, delta_t: float) -> float:
     """Gaussian-packet coincidence probability (1 - exp(-sigma^2 dt^2/2))/2."""
     check_positive(sigma, "sigma")
-    return 0.5 - 0.5 * math.exp(-0.5 * (sigma * delta_t) ** 2)
+    try:
+        return 0.5 - 0.5 * math.exp(-0.5 * (sigma * delta_t) ** 2)
+    except OverflowError:  # exp(-x^2/2) is already 0.0 for |x| > 38.61
+        return 0.5
 
 
 def hom_coincidence_general(packet: Wavepacket, delta_t: float) -> float:
@@ -226,7 +222,7 @@ def hom_coincidence_general(packet: Wavepacket, delta_t: float) -> float:
     (1 - cos^2(d dt))/2 beat pattern exactly.  The chi(0) normalization
     makes the coincidence vanish identically at zero delay.
     """
-    if packet.shape == "tabulated":
+    if packet.grid_omega is not None:
         import numpy as np
 
         weights = _trapz_weights(packet.grid_omega) * packet.grid_density
@@ -259,7 +255,7 @@ def fock_grid(packet: Wavepacket, bins: int = 1024) -> tuple[np.ndarray, np.ndar
     """
     import numpy as np
 
-    if packet.shape == "tabulated":
+    if packet.grid_omega is not None:
         omegas = np.asarray(packet.grid_omega, dtype=float)
         weights = _trapz_weights(omegas) * packet.grid_density
     else:

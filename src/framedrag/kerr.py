@@ -30,12 +30,10 @@ from .errors import GuardViolation, check_at_least, check_positive, direction_si
 __all__ = [
     "KerrPoint",
     "MetricComponents",
-    "LightSpeedPair",
     "ScanResult",
     "metric_components_kerr",
     "light_speed_full",
     "light_speed_weak",
-    "light_speed_pair",
     "null_residual",
     "kerr_phase_difference",
     "kerr_time_delay",
@@ -60,20 +58,6 @@ class MetricComponents:
     g_tt: float
     g_tphi: float
     g_phiphi: float
-
-
-@dataclass(frozen=True)
-class LightSpeedPair:
-    """Magnitudes of the two tangential light speeds at a point.
-
-    ``counter_dragged_forward`` flags points inside the ergosphere where
-    the counter branch is forced to co-rotate (its signed speed is
-    positive there).
-    """
-
-    c_co: float
-    c_counter: float
-    counter_dragged_forward: bool = False
 
 
 @dataclass(frozen=True)
@@ -175,32 +159,6 @@ def _apply_weak_guard(r_s: float, a: float, r: float, force: bool) -> None:
         )
 
 
-def light_speed_pair(point: KerrPoint, mode: str = "full", *,
-                     force: bool = False) -> LightSpeedPair:
-    """Both light speeds at a point, reported as magnitudes.
-
-    ``mode`` selects the full null-condition solution or the weak-field
-    expansion.
-    """
-    if mode == "full":
-        co = light_speed_full(point, "co")
-        counter = light_speed_full(point, "counter")
-    elif mode == "weak":
-        co = light_speed_weak(point, "co", force=force)
-        counter = light_speed_weak(point, "counter", force=force)
-    else:
-        raise ValueError(f"mode must be 'full' or 'weak', got {mode!r}")
-    return LightSpeedPair(
-        c_co=co,
-        c_counter=abs(counter),
-        counter_dragged_forward=counter > 0.0,
-    )
-
-
-def _gphiphi_untruncated(r_s: float, a: float, r: float) -> float:
-    return -(r * r + a * a + r_s * a * a / r)
-
-
 def null_residual(point: KerrPoint, direction: str) -> float:
     """Relative residual of ds^2/dt^2 for a full-mode light speed.
 
@@ -211,15 +169,13 @@ def null_residual(point: KerrPoint, direction: str) -> float:
     equatorial line element must annihilate it; the residual is
     normalised by the largest term entering the cancellation.
     """
-    direction_sign(direction)
+    u = light_speed_full(point, direction)
     r_s, a, r = point.source.r_s, point.source.a, point.r
-    u = _light_speed_full_raw(r_s, a, r, direction)
     big_p = r * r + a * a * (1.0 + r_s / r)
     omega = -u / math.sqrt(big_p)
-    g_tt = 1.0 - r_s / r
-    g_tphi = -r_s * a / r
-    g_pp = _gphiphi_untruncated(r_s, a, r)
-    residual = g_tt + 2.0 * g_tphi * omega + g_pp * omega * omega
+    metric = metric_components_kerr(point)
+    g_tt, g_pp = metric.g_tt, -big_p  # untruncated: g_phiphi = -P
+    residual = g_tt + 2.0 * metric.g_tphi * omega + g_pp * omega * omega
     scale = max(abs(g_tt), abs(g_pp) * omega * omega)
     if scale == 0.0:
         # counter branch exactly on the ergosphere boundary: u = 0 and
@@ -256,9 +212,11 @@ def kerr_time_delay_full(point: KerrPoint, length: float) -> float:
     return length * 2.0 * min(drag, root) / abs(denom)
 
 
-def kerr_phase_difference(point: KerrPoint, length: float, omega: float,
-                          mode: str = "weak", *, force: bool = False) -> float:
-    """Counter-minus-co propagation phase difference around a path.
+def kerr_phase_difference(point: KerrPoint, length: float, omega: float, *,
+                          force: bool = False) -> float:
+    """Weak-field counter-minus-co phase difference 2 omega L (r_s a / r^2)(1 + r_s/r).
+
+    The full-speed phase is omega times ``kerr_time_delay_full``.
 
     Parameters
     ----------
@@ -268,20 +226,14 @@ def kerr_phase_difference(point: KerrPoint, length: float, omega: float,
         full loop).
     omega : float
         Angular frequency of the light in inverse metres.
-    mode : {"weak", "full"}
-        ``weak`` returns 2 omega L (r_s a / r^2)(1 + r_s/r) and enforces
-        the weak-field guard; ``full`` returns
-        omega L (1/|c_counter| - 1/c_co) from the full speeds.
+    force : bool
+        Evaluate outside the weak-field guard.
     """
     check_positive(length, "length")
     check_positive(omega, "omega")
     r_s, a, r = point.source.r_s, point.source.a, point.r
-    if mode == "weak":
-        _apply_weak_guard(r_s, a, r, force)
-        return 2.0 * omega * length * (r_s * a / (r * r)) * (1.0 + r_s / r)
-    if mode == "full":
-        return omega * kerr_time_delay_full(point, length)
-    raise ValueError(f"mode must be 'weak' or 'full', got {mode!r}")
+    _apply_weak_guard(r_s, a, r, force)
+    return 2.0 * omega * length * (r_s * a / (r * r)) * (1.0 + r_s / r)
 
 
 def roundtrip_mean_speed(point: KerrPoint, *, force: bool = False) -> float:
@@ -312,7 +264,10 @@ def horizon_radius(source: GravSource) -> float:
             f"no horizon: source is super-extremal (a = {source.a!r} > r_s/2 = {source.r_s / 2.0!r})"
         )
     half = 0.5 * source.r_s
-    return half + math.sqrt(half * half - source.a**2)
+    try:
+        return half + math.sqrt(half * half - source.a**2)
+    except OverflowError:
+        raise OverflowError(f"horizon_radius a^2 overflows at a = {source.a!r}") from None
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .constants import GravSource
+from .constants import CONSTANTS, GravSource
+from .errors import check_at_least, check_positive, check_speed
 from .fiber import FiberArms, RefractiveModel
 from .interference import Wavepacket
 from .kerr import KerrPoint
@@ -212,14 +213,9 @@ class Scenario:
     # --- domain-object builders (validation happens in the constructors) ---
 
     def source(self) -> GravSource:
-        has_geometric = "source.rs" in self.user or "source.a" in self.user
-        has_si = "source.mass" in self.user
-        if has_si and not has_geometric:
-            return GravSource.from_mass(
-                self.require("source.mass"),
-                self.get("source.angular_momentum", 0.0),
-            )
-        if self.has("source.rs"):
+        """From source.rs/source.a, unless the user gave only source.mass of the two."""
+        geometric = "source.rs" in self.user or "source.a" in self.user
+        if self.has("source.rs") and (geometric or "source.mass" not in self.user):
             return GravSource(r_s=float(self.require("source.rs")),
                               a=float(self.get("source.a", 0.0)))
         if self.has("source.mass"):
@@ -242,18 +238,25 @@ class Scenario:
                                    float(self.require("light.sigma")))
 
     def turntable(self) -> TurntableConfig:
+        """The platform; every bad value is named by its config key."""
         r_t = float(self.require("turntable.radius"))
         windings = int(self.get("turntable.windings", 0))
+        check_positive(r_t, "turntable.radius")
+        check_at_least(windings, 0, "turntable.windings")
         given = {"turntable.omega", "turntable.velocity"} & self.user.keys()
         if len(given) == 2:
             raise ValueError("give exactly one of turntable.omega and turntable.velocity")
         rates = self.user if given else self.defaults
         if "turntable.velocity" in rates:
-            return TurntableConfig.from_velocity(
-                r_t, float(rates["turntable.velocity"]), windings=windings)
+            v = float(rates["turntable.velocity"])
+            check_speed(v, "turntable.velocity")
+            check_at_least(v * CONSTANTS.c / r_t, 0.0, "turntable.velocity * c / turntable.radius")
+            return TurntableConfig.from_velocity(r_t, v, windings=windings)
         if "turntable.omega" in rates:
-            return TurntableConfig.from_angular_frequency(
-                r_t, float(rates["turntable.omega"]), windings=windings)
+            omega = float(rates["turntable.omega"])
+            check_at_least(omega, 0.0, "turntable.omega")
+            check_speed(omega * r_t / CONSTANTS.c, "turntable.omega * turntable.radius / c")
+            return TurntableConfig.from_angular_frequency(r_t, omega, windings=windings)
         raise ValueError("missing turntable.omega or turntable.velocity")
 
     def refractive_model(self) -> RefractiveModel:

@@ -147,8 +147,7 @@ def equivalence_velocity_timeshift(source: GravSource, r: float, r_t: float, *,
         if r <= r_s:
             raise ValueError(f"metric-time matching needs r > r_s, got r = {r!r}")
         x /= math.sqrt(1.0 - r_s / r)
-    v = x / math.sqrt(1.0 + x * x)
-    return EquivalenceResult(v=v, v_approx=x / math.sqrt(1.0 + x * x), v_leading=x)
+    return EquivalenceResult(v=x / math.sqrt(1.0 + x * x), v_approx=x, v_leading=x)
 
 
 def turntable_roundtrip_shift(v: float, r_t: float) -> float:
@@ -230,7 +229,11 @@ def winding_hom_exponent(sigma: float, v: float, r_t: float, windings: int = 0) 
     """
     check_positive(sigma, "sigma")
     delta_t = fiber_loop_delay(v, winding_arm_length(r_t, v, windings))
-    return 0.5 * (sigma * delta_t) ** 2
+    try:
+        return 0.5 * (sigma * delta_t) ** 2
+    except OverflowError:
+        raise OverflowError(f"winding_hom_exponent (sigma * delta_t)^2 / 2 overflows at "
+                            f"sigma = {sigma!r}, delta_t = {delta_t!r}") from None
 
 
 def two_way_phase_turntable(v: float, r_t: float, omega: float) -> tuple[float, float, float]:

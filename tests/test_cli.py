@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framedrag import cli, kerr
-from framedrag.constants import CONSTANTS
+from framedrag.constants import CONSTANTS, GravSource
 from framedrag.interference import hom_coincidence_gaussian
 from framedrag.reference import CheckResult
 from framedrag.scenario import BLACK_HOLE_DEFAULTS, FIBER_LOOP_DEFAULTS, PARAMETERS, Scenario
@@ -72,6 +72,24 @@ def test_kerr_near_horizon_degrades_weak_block(capsys):
     values = parse_report(out)
     assert "c_co_full" in values and "c_co_weak" not in values
     assert values["c_co_full"] == pytest.approx(0.77158073738157209, rel=1e-14)
+
+
+def test_kerr_forced_weak_block_in_strong_field(capsys):
+    # r_s/r = 0.05 is past the weak-field guard; --override-guards evaluates
+    # the seven weak-expansion lines anyway, each from the forced formula.
+    code, out, err = run_cli(
+        capsys, "kerr", "--override-guards", "--set", "source.rs=3e4",
+        "--set", "source.a=7.5e3", "--set", "point.r=6e5")
+    assert code == 0 and err == ""
+    assert "weak-field-guard" not in out
+    values = parse_report(out)
+    for name in ("c_co_weak", "c_counter_weak", "delay_weak", "phase_weak",
+                 "phase_weak_mod_2pi", "roundtrip_mean_speed", "local_two_way_speed"):
+        assert name in values
+    point = kerr.KerrPoint(source=GravSource(r_s=3e4, a=7.5e3), r=6e5)
+    assert values["c_co_weak"] == kerr.light_speed_weak(point, "co", force=True)
+    assert values["c_counter_weak"] == abs(kerr.light_speed_weak(point, "counter", force=True))
+    assert values["phase_full"] == 2.0e6 * values["delay_full"]  # omega0 * delay_full
 
 
 def test_equivalence_metric_defaults(capsys):
@@ -468,10 +486,28 @@ def test_kerr_overflowed_delay_is_not_blamed_on_the_ergosphere(capsys):
                    "delay_full = inf is not finite\n")
 
 
+@pytest.mark.parametrize("overrides,key", [
+    (["turntable.velocity=0.5", "turntable.radius=1e-310"],
+     "turntable.velocity * c / turntable.radius"),
+    (["turntable.omega=2e9"], "turntable.omega * turntable.radius / c"),
+    (["turntable.velocity=1.5"], "turntable.velocity"),
+    (["turntable.radius=-1"], "turntable.radius"),
+    (["turntable.windings=-1"], "turntable.windings"),
+])
+def test_feasibility_names_bad_turntable_keys(capsys, overrides, key):
+    argv = ["feasibility"] + [arg for item in overrides for arg in ("--set", item)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"ERROR validation: {key} must be ")
+
+
 # --- random overrides: finite values at exit 0, a named error at exit 2 ----------
 
+OVERFLOW_PREFIX = "these inputs leave the float64 range: "
 BARE_MESSAGES = ("math domain error", "math range error", "float division by zero",
-                 "division by zero", "integer division or modulo by zero")
+                 "division by zero", "integer division or modulo by zero",
+                 "(34, 'Numerical result out of range')")
 FLOAT_KEYS = sorted(key for key, (kind, _) in PARAMETERS.items() if kind is float)
 SIGNED_VALUES = st.builds(
     lambda magnitude, sign: sign * magnitude,
@@ -490,6 +526,10 @@ SIGNED_VALUES = st.builds(
 @example("kerr", [("path.length", 1e308)])  # overflow blamed on the ergosphere
 @example("hom", [("light.sigma", 5e-125), ("interference.delta_t", 1e-113)])  # nan Fock weights
 @example("fig3", [("turntable.radius", 1e-300), ("sweep.omega_max", 1e308)])  # inf rows
+@example("fig3", [("light.sigma", 1e300)])  # errno tuple from (sigma dt)**2
+@example("feasibility", [("light.sigma", 1e200), ("turntable.windings", 3)])  # same, winding exponent
+@example("fiber", [("medium.a", 1e300)])  # same, (n -+ v)**2 in the GVD
+@example("kerr", [("source.rs", 1e200), ("source.a", 1e199), ("point.r", 1e201)])  # same, a**2
 @settings(max_examples=200, deadline=None)
 def test_random_overrides_give_finite_values_or_a_named_error(command, overrides):
     argv = [command] + [arg for key, value in overrides for arg in ("--set", f"{key}={value!r}")]
@@ -509,7 +549,8 @@ def test_random_overrides_give_finite_values_or_a_named_error(command, overrides
     else:
         assert out == "", argv
         match = re.fullmatch(r"ERROR [\w-]+: (.+)\n", err)
-        assert match is not None and match.group(1) not in BARE_MESSAGES, (argv, err)
+        assert match is not None, (argv, err)
+        assert match.group(1).removeprefix(OVERFLOW_PREFIX) not in BARE_MESSAGES, (argv, err)
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

@@ -19,7 +19,6 @@ from framedrag.kerr import (
     kerr_time_delay,
     kerr_time_delay_full,
     light_speed_full,
-    light_speed_pair,
     light_speed_weak,
     local_two_way_speed,
     metric_components_kerr,
@@ -50,15 +49,15 @@ def test_earth_weak_delay_and_phase_frozen():
     length = math.pi * 6.37e7
     assert math.isclose(kerr_time_delay(point, length),
                         3.4621633325275272e-9, rel_tol=1e-12)
-    assert math.isclose(kerr_phase_difference(point, length, 2.0e6, mode="weak"),
+    assert math.isclose(kerr_phase_difference(point, length, 2.0e6),
                         0.0069243266660333738, rel_tol=1e-12)
 
 
 def test_earth_full_phase_close_to_weak():
     point = KerrPoint(source=EARTH, r=6.37e7)
     length = math.pi * 6.37e7
-    full = kerr_phase_difference(point, length, 2.0e6, mode="full")
-    weak = kerr_phase_difference(point, length, 2.0e6, mode="weak")
+    full = 2.0e6 * kerr_time_delay_full(point, length)
+    weak = kerr_phase_difference(point, length, 2.0e6)
     # truncation difference is ~2e-15 relative here; double rounding of the
     # full route dominates what we can resolve
     assert math.isclose(full, weak, rel_tol=1e-8)
@@ -130,11 +129,8 @@ def test_spin_reversal_antisymmetry(r_s, spin_frac, mult):
 
 @given(outside_points(), st.floats(1.0, 1e8))
 @settings(max_examples=100, deadline=None)
-def test_full_phase_is_omega_times_delay(point, length):
-    delay = kerr_time_delay_full(point, length)
-    phase = kerr_phase_difference(point, length, 2.0e6, mode="full")
-    assert phase == pytest.approx(2.0e6 * delay, rel=1e-14)
-    assert delay >= 0.0
+def test_full_delay_is_non_negative(point, length):
+    assert kerr_time_delay_full(point, length) >= 0.0
 
 
 @given(st.floats(1e-9, 1e-3), st.floats(0.0, 1.0))
@@ -174,12 +170,9 @@ def test_super_extremal_point_has_no_horizon_constraint():
         horizon_radius(EARTH)
 
 
-def test_pair_magnitudes_and_ergosphere_flag():
-    outside = light_speed_pair(KerrPoint(source=BH, r=6.0e4), mode="full")
-    assert not outside.counter_dragged_forward
-    assert outside.c_counter > 0.0  # magnitude
-    inside = light_speed_pair(KerrPoint(source=BH, r=2.95e4), mode="full")
-    assert inside.counter_dragged_forward
+def test_counter_speed_is_dragged_forward_only_inside_the_ergosphere():
+    assert light_speed_full(KerrPoint(source=BH, r=6.0e4), "counter") < 0.0
+    assert light_speed_full(KerrPoint(source=BH, r=2.95e4), "counter") > 0.0
 
 
 def test_metric_components_earth():

@@ -33,6 +33,22 @@ def test_timeshift_equivalence_earth():
     assert math.isclose(res.v * C / 0.2, 4.12979406429, rel_tol=1e-11)
 
 
+@pytest.mark.parametrize("r_s,a,r,r_t", [
+    (0.009, 3.9, 6.37e7, 0.2),
+    (3.0e4, 7.5e3, 3.0e5, 5.0),
+    (1.0, 0.5, 2.5, 2.5),
+])
+def test_v_approx_drops_the_quadratic_term_under_the_root(r_s, a, r, r_t):
+    source = GravSource(r_s=r_s, a=a)
+    x = r_s * a / (r * r)
+    metric = turntable.equivalence_velocity_metric(source, r)
+    assert metric.v_approx == x / math.sqrt(1.0 - r_s / r)  # sqrt(1 - r_s/r + X^2) -> sqrt(1 - r_s/r)
+    x = r_s * a / (r * r_t)
+    shift = turntable.equivalence_velocity_timeshift(source, r, r_t)
+    assert shift.v_approx == x  # X / sqrt(1 + X^2) -> X
+    assert shift.v == x / math.sqrt(1.0 + x * x)
+
+
 def test_ten_solar_mass_leading_vs_exact():
     source = GravSource.from_mass(1.989e31, 0.0)
     source = GravSource(r_s=source.r_s, a=source.r_s / 100.0)
