@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import fiber, interference, kerr, reference, turntable
 from .constants import CONSTANTS, GravSource
-from .errors import GuardViolation, check_at_least, check_positive, check_speed
+from .errors import GuardViolation, check_speed
 from .interference import SpectrumNormalizationWarning
 from .scenario import (
     BLACK_HOLE_DEFAULTS,
@@ -189,8 +189,8 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     point = scenario.point()
     source = point.source
     length = scenario.path_length()
-    omega0 = float(scenario.require("light.omega0"))
-    sigma = float(scenario.require("light.sigma"))
+    omega0 = scenario.require("light.omega0")
+    sigma = scenario.require("light.sigma")
     force = args.override_guards
 
     if source.sub_extremal and source.r_s > 0.0:
@@ -216,7 +216,6 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
             "the full-mode delay, phase and detection probability are undefined.")
     delay_full = kerr.kerr_time_delay_full(point, length)
     report.output("delay_full", delay_full, "m", "kerr-delay-full")
-    check_positive(omega0, "light.omega0")
     phase_full = omega0 * delay_full
     report.output("phase_full", phase_full, "rad", "kerr-phase-full")
 
@@ -260,7 +259,7 @@ def cmd_equivalence(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report = RunReport()
     report.echo_inputs(scenario)
     source = scenario.source()
-    r = float(scenario.require("point.r"))
+    r = scenario.require("point.r")
 
     if args.method == "metric":
         # the matching happens at the field point itself, so the
@@ -270,7 +269,7 @@ def cmd_equivalence(scenario: Scenario, args: argparse.Namespace) -> RunReport:
         report.output("v_equiv", result.v, "c", "equivalence-metric")
         report.output("v_equiv_approx", result.v_approx, "c", "equivalence-metric-approx")
     else:
-        r_t = float(scenario.require("turntable.radius"))
+        r_t = scenario.require("turntable.radius")
         result = turntable.equivalence_velocity_timeshift(source, r, r_t)
         report.output("v_equiv", result.v, "c", "equivalence-timeshift")
         metric_time = turntable.equivalence_velocity_timeshift(
@@ -300,7 +299,7 @@ def cmd_equivalence(scenario: Scenario, args: argparse.Namespace) -> RunReport:
 def cmd_feasibility(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report = RunReport()
     report.echo_inputs(scenario)
-    sigma = float(scenario.require("light.sigma"))
+    sigma = scenario.require("light.sigma")
     table = scenario.turntable()
     radius = table.r_t
 
@@ -328,9 +327,8 @@ def cmd_feasibility(scenario: Scenario, args: argparse.Namespace) -> RunReport:
                   None, "winding-hom-exponent")
 
     arms = scenario.fiber_arms()
-    loop_length = float(scenario.require("arms.length"))
     report.output("coherence_length",
-                  fiber.coherence_length_required(loop_length, table.omega_rot, radius),
+                  fiber.coherence_length_required(arms.length, table.omega_rot, radius),
                   "m", "coherence-length")
     _report_dip(report, arms, table.omega_rot, radius)
     return report
@@ -345,9 +343,8 @@ def cmd_hom(scenario: Scenario, args: argparse.Namespace) -> RunReport:
         report.output("spectrum_sigma", packet.sigma, "rad/m", "gaussian-visibility")
     else:
         packet = scenario.wavepacket()
-    bins = int(scenario.require("interference.bins"))
-    delta_t = scenario.get("interference.delta_t")
-    delta_t = float(delta_t) if delta_t is not None else 1.0 / packet.sigma
+    bins = scenario.require("interference.bins")
+    delta_t = scenario.get("interference.delta_t", 1.0 / packet.sigma)
     force = args.override_guards
 
     report.output("delta_t", delta_t, "m", "hom-delay-fiber-loop")
@@ -385,8 +382,8 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     model = scenario.refractive_model()
     arms = scenario.fiber_arms()
     table = scenario.turntable()
-    omega0 = float(scenario.require("light.omega0"))
-    sigma = float(scenario.require("light.sigma"))
+    omega0 = scenario.require("light.omega0")
+    sigma = scenario.require("light.sigma")
     k0, v = model.k0, arms.v
 
     report.output("n", model.n(k0), None, "refractive-index")
@@ -444,14 +441,10 @@ def cmd_fig1(scenario: Scenario, args: argparse.Namespace) -> RunReport:
 
     report = RunReport()
     source = scenario.source()
-    omega0 = float(scenario.require("light.omega0"))
-    sigma = float(scenario.require("light.sigma"))
-    r_max = float(scenario.require("scan.r_max"))
-    points = int(scenario.require("scan.points"))
-    check_positive(omega0, "light.omega0")
-    check_positive(sigma, "light.sigma")
-    check_at_least(points, 2, "scan.points")
-    check_positive(r_max, "scan.r_max")
+    omega0 = scenario.require("light.omega0")
+    sigma = scenario.require("light.sigma")
+    r_max = scenario.require("scan.r_max")
+    points = scenario.require("scan.points")
     scan = kerr.blackhole_scan(source, omega0, sigma, r_max=r_max, n_points=points)
     bad = ~np.isfinite(scan.phase_rad)  # a nan delay makes the visibility nan too
     if bad.any():
@@ -474,14 +467,11 @@ def cmd_fig1(scenario: Scenario, args: argparse.Namespace) -> RunReport:
 
 def cmd_fig3(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report = RunReport()
-    sigma = float(scenario.require("light.sigma"))
-    radius = float(scenario.require("turntable.radius"))
-    length = float(scenario.require("arms.length"))
-    omega_max = float(scenario.require("sweep.omega_max"))
-    points = int(scenario.require("sweep.points"))
-    check_at_least(points, 2, "sweep.points")
-    check_positive(radius, "turntable.radius")
-    check_positive(length, "arms.length")
+    sigma = scenario.require("light.sigma")
+    radius = scenario.require("turntable.radius")
+    length = scenario.require("arms.length")
+    omega_max = scenario.require("sweep.omega_max")
+    points = scenario.require("sweep.points")
     check_speed(abs(omega_max) * radius / _C,  # the fastest rim of the sweep
                 "|sweep.omega_max| * turntable.radius / c")
     if not math.isfinite(omega_max * (points - 1)):  # the largest product the rows form

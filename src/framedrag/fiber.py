@@ -64,6 +64,7 @@ class RefractiveModel:
         check_at_least(self.A, 0.0, "A")
         check_at_least(self.B, 1.0, "B")
         check_positive(self.k0, "k0")
+        check_at_least(self.A / self.k0, 0.0, "A / k0")  # n(k0) = A/k0 + B stays finite
 
     @classmethod
     def fused_silica(cls) -> "RefractiveModel":
@@ -266,7 +267,7 @@ def corrected_group_phase(omega0: float, v: float, length: float,
     check_positive(length, "length")
     check_speed(v)
     gamma2 = 1.0 - v * v
-    correction = model.n_prime(model.k0) * v / gamma2
+    correction = model.n_prime(model.k0) * v / gamma2 + 0.0  # v = 0 gives 0, not -0
     phase = 4.0 * omega0 * v * length / gamma2 * (1.0 + correction)
     return phase, correction
 

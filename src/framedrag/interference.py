@@ -226,9 +226,9 @@ def hom_coincidence_general(packet: Wavepacket, delta_t: float) -> float:
         import numpy as np
 
         weights = _trapz_weights(packet.grid_omega) * packet.grid_density
-        chi = weights @ np.exp(-1j * packet.grid_omega * delta_t)
-        chi0 = weights.sum()
-        ratio2 = abs(chi / chi0) ** 2
+        phases = np.exp(-1j * packet.grid_omega * delta_t)
+        chi0 = weights @ np.ones_like(phases)  # the same dot as chi, so p(0) is exactly 0
+        ratio2 = min(abs((weights @ phases) / chi0), 1.0) ** 2  # |chi| <= chi0 up to rounding
     else:
         # |chi(dt)| reduces to the centered cosine transform because the
         # density is even about omega0; the carrier phase drops in |.|.

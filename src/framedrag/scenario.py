@@ -4,14 +4,15 @@ Config files are plain text, one ``section.key = value`` per line, with
 ``#`` comments.  Command-line ``--set`` flags override file values, which
 override per-command defaults.  Exactly one of ``turntable.omega`` and
 ``turntable.velocity`` may be given; supplying either suppresses the
-default of the other.
+default of the other.  Every value must be finite and inside the range
+``PARAMETERS`` gives its key; an error names the key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .constants import CONSTANTS, GravSource
 from .errors import check_at_least, check_positive, check_speed
@@ -34,42 +35,49 @@ __all__ = [
     "HOM_DEFAULTS",
 ]
 
-# Every config key, with its value type and the unit its input echo prints.
-PARAMETERS: Mapping[str, tuple[type, str | None]] = {
-    "source.rs": (float, "m"),
-    "source.a": (float, "m"),
-    "source.mass": (float, "kg"),
-    "source.angular_momentum": (float, "kg m^2/s"),
-    "point.r": (float, "m"),
-    "path.length": (float, "m"),
-    "light.omega0": (float, "rad/m"),
-    "light.sigma": (float, "rad/m"),
-    "turntable.radius": (float, "m"),
-    "turntable.omega": (float, "rad/s"),
-    "turntable.velocity": (float, "c"),
-    "turntable.windings": (int, None),
-    "arms.length": (float, "m"),
-    "arms.delta_length": (float, "m"),
-    "medium.a": (float, "rad/m"),
-    "medium.b": (float, None),
-    "medium.k0": (float, "rad/m"),
-    "interference.delta_t": (float, "m"),
-    "interference.bins": (int, None),
-    "scan.r_max": (float, None),
-    "scan.points": (int, None),
-    "sweep.omega_max": (float, "rad/s"),
-    "sweep.points": (int, None),
+# Every config key: its value type, the unit its input echo prints, and its
+# range -- an errors.py check, a lower bound for check_at_least, or None for
+# any finite value.  Scenario.assemble checks every value against it by key.
+PARAMETERS: Mapping[str, tuple[type, str | None, Callable[[Any, str], None] | float | None]] = {
+    "source.rs": (float, "m", 0.0),
+    "source.a": (float, "m", 0.0),
+    "source.mass": (float, "kg", check_positive),
+    "source.angular_momentum": (float, "kg m^2/s", 0.0),
+    "point.r": (float, "m", check_positive),
+    "path.length": (float, "m", check_positive),
+    "light.omega0": (float, "rad/m", check_positive),
+    "light.sigma": (float, "rad/m", check_positive),
+    "turntable.radius": (float, "m", check_positive),
+    "turntable.omega": (float, "rad/s", 0.0),
+    "turntable.velocity": (float, "c", check_speed),
+    "turntable.windings": (int, None, 0),
+    "arms.length": (float, "m", check_positive),
+    "arms.delta_length": (float, "m", None),
+    "medium.a": (float, "rad/m", 0.0),
+    "medium.b": (float, None, 1.0),
+    "medium.k0": (float, "rad/m", check_positive),
+    "interference.delta_t": (float, "m", None),
+    "interference.bins": (int, None, 2),
+    "scan.r_max": (float, None, check_positive),
+    "scan.points": (int, None, 2),
+    "sweep.omega_max": (float, "rad/s", None),
+    "sweep.points": (int, None, 2),
 }
 
 
 def _check_value(key: str, value: Any, shown: Any) -> float | int:
-    """``value`` if it has the PARAMETERS type of ``key`` (floats finite); errors quote ``shown``."""
-    kind = PARAMETERS[key][0]
+    """``value`` as the type of ``key`` if finite and in range; parse errors quote ``shown``."""
+    kind, _, allowed = PARAMETERS[key]
     if not isinstance(value, int if kind is int else (int, float)):
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"config key {key!r} expects {noun}, got {shown!r}")
     if kind is float and not math.isfinite(value):
         raise ValueError(f"config key {key!r} must be finite, got {shown!r}")
+    value = kind(value)
+    if callable(allowed):
+        allowed(value, key)
+    elif allowed is not None:
+        check_at_least(value, allowed, key)
     return value
 
 
@@ -182,14 +190,13 @@ class Scenario:
     def assemble(cls, defaults: Mapping[str, float | int],
                  config: Mapping[str, float | int] | None = None,
                  overrides: Mapping[str, float | int] | None = None) -> "Scenario":
-        user: dict[str, float | int] = {}
-        user.update(config or {})
-        user.update(overrides or {})
-        for key, value in user.items():
+        """Check every value by its key and hold it as its PARAMETERS type."""
+        user = {**(config or {}), **(overrides or {})}
+        for key in [*defaults, *user]:
             if key not in PARAMETERS:
                 raise ValueError(f"unknown config key {key!r}")
-            _check_value(key, value, value)
-        return cls(defaults=dict(defaults), user=user)
+        return cls(defaults={key: _check_value(key, val, val) for key, val in defaults.items()},
+                   user={key: _check_value(key, val, val) for key, val in user.items()})
 
     def has(self, key: str) -> bool:
         return key in self.user or key in self.defaults
@@ -210,14 +217,13 @@ class Scenario:
         merged.update(self.user)
         return merged
 
-    # --- domain-object builders (validation happens in the constructors) ---
+    # --- domain-object builders (each value was checked by key in assemble) ---
 
     def source(self) -> GravSource:
         """From source.rs/source.a, unless the user gave only source.mass of the two."""
         geometric = "source.rs" in self.user or "source.a" in self.user
         if self.has("source.rs") and (geometric or "source.mass" not in self.user):
-            return GravSource(r_s=float(self.require("source.rs")),
-                              a=float(self.get("source.a", 0.0)))
+            return GravSource(r_s=self.require("source.rs"), a=self.get("source.a", 0.0))
         if self.has("source.mass"):
             return GravSource.from_mass(
                 self.require("source.mass"),
@@ -226,51 +232,43 @@ class Scenario:
         raise ValueError("missing source parameters (source.rs/source.a or source.mass)")
 
     def point(self) -> KerrPoint:
-        return KerrPoint(source=self.source(), r=float(self.require("point.r")))
+        return KerrPoint(source=self.source(), r=self.require("point.r"))
 
     def path_length(self) -> float:
         if self.has("path.length"):
-            return float(self.require("path.length"))
-        return math.pi * float(self.require("point.r"))
+            return self.require("path.length")
+        return math.pi * self.require("point.r")
 
     def wavepacket(self) -> Wavepacket:
-        return Wavepacket.gaussian(float(self.require("light.omega0")),
-                                   float(self.require("light.sigma")))
+        return Wavepacket.gaussian(self.require("light.omega0"), self.require("light.sigma"))
 
     def turntable(self) -> TurntableConfig:
-        """The platform; every bad value is named by its config key."""
-        r_t = float(self.require("turntable.radius"))
-        windings = int(self.get("turntable.windings", 0))
-        check_positive(r_t, "turntable.radius")
-        check_at_least(windings, 0, "turntable.windings")
+        """The platform; a rate that overflows with the radius is named by its config keys."""
+        r_t = self.require("turntable.radius")
+        windings = self.get("turntable.windings", 0)
         given = {"turntable.omega", "turntable.velocity"} & self.user.keys()
         if len(given) == 2:
             raise ValueError("give exactly one of turntable.omega and turntable.velocity")
         rates = self.user if given else self.defaults
         if "turntable.velocity" in rates:
-            v = float(rates["turntable.velocity"])
-            check_speed(v, "turntable.velocity")
+            v = rates["turntable.velocity"] + 0.0  # -0.0 -> 0.0, so no output prints -0
             check_at_least(v * CONSTANTS.c / r_t, 0.0, "turntable.velocity * c / turntable.radius")
             return TurntableConfig.from_velocity(r_t, v, windings=windings)
         if "turntable.omega" in rates:
-            omega = float(rates["turntable.omega"])
-            check_at_least(omega, 0.0, "turntable.omega")
+            omega = rates["turntable.omega"] + 0.0  # -0.0 -> 0.0, as for the velocity
             check_speed(omega * r_t / CONSTANTS.c, "turntable.omega * turntable.radius / c")
             return TurntableConfig.from_angular_frequency(r_t, omega, windings=windings)
         raise ValueError("missing turntable.omega or turntable.velocity")
 
     def refractive_model(self) -> RefractiveModel:
-        return RefractiveModel(
-            A=float(self.require("medium.a")),
-            B=float(self.require("medium.b")),
-            k0=float(self.require("medium.k0")),
-        )
+        return RefractiveModel(A=self.require("medium.a"), B=self.require("medium.b"),
+                               k0=self.require("medium.k0"))
 
     def fiber_arms(self) -> FiberArms:
         v = self.turntable().v
         return FiberArms(
-            length=float(self.require("arms.length")),
-            delta_length=float(self.get("arms.delta_length", 0.0)),
+            length=self.require("arms.length"),
+            delta_length=self.get("arms.delta_length", 0.0),
             model=self.refractive_model(),
             v=v,
         )

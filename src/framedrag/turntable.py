@@ -188,6 +188,9 @@ def min_velocity_for_visibility(radius: float, sigma: float, windings: int = 0) 
     check_at_least(windings, 0, "windings")
     r_eff = (2 * windings + 1) * radius
     scale = 2.0 * math.pi * r_eff * sigma
+    if scale == 0.0:  # r sigma below ~1e-324 underflows
+        raise OverflowError(f"min_velocity_for_visibility 1/(2 pi r sigma) overflows at "
+                            f"radius = {radius!r}, sigma = {sigma!r}")
     exact = 1.0 / math.sqrt(scale * scale + 1.0)
     return exact, 1.0 / scale
 
@@ -200,8 +203,12 @@ def windings_for_visibility_loss(radius: float, sigma: float, v: float) -> int:
     check_positive(radius, "radius")
     check_positive(sigma, "sigma")
     # exact >= condition: 4 pi^2 ((2N+1) r)^2 sigma^2 >= 1/v^2 - 1
-    needed = math.sqrt(max(1.0 / (v * v) - 1.0, 0.0)) / (2.0 * math.pi * radius * sigma)
-    n = math.ceil((needed - 1.0) / 2.0)
+    try:  # 1/v^2 leaves float64 for v below ~1e-154, as 1/(r sigma) can
+        needed = math.sqrt(max(1.0 / (v * v) - 1.0, 0.0)) / (2.0 * math.pi * radius * sigma)
+        n = math.ceil((needed - 1.0) / 2.0)
+    except (ZeroDivisionError, OverflowError):
+        raise OverflowError(f"windings_for_visibility_loss overflows at v = {v!r}, "
+                            f"radius = {radius!r}, sigma = {sigma!r}") from None
     return max(n, 0)
 
 

@@ -200,6 +200,16 @@ def test_hom_spectrum_file(capsys, tmp_path):
     assert values["spectrum_sigma"] == pytest.approx(math.sqrt(2.0 * var), rel=1e-9)
 
 
+def test_hom_spectrum_whose_sums_round_apart_has_full_visibility(capsys, tmp_path):
+    # chi(0) and the weight sum differ in the last bit here, which made p(0) = -2.2e-16
+    path = tmp_path / "spectrum.txt"
+    path.write_text("1997015 0.268\n1998903 0.510\n1998996 0.864\n1999632 0.745\n"
+                    "2000249 0.611\n2001503 0.612\n2002335 0.335\n2002364 0.485\n")
+    code, out, _ = run_cli(capsys, "hom", "--spectrum", str(path))
+    assert code == 0
+    assert "hom_visibility = 1 [hom-visibility] (~1)" in out
+
+
 def test_config_file_and_set_precedence(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("point.r = 1.0e3\nlight.sigma = 9.9e3 # overridden below\n")
@@ -502,13 +512,91 @@ def test_feasibility_names_bad_turntable_keys(capsys, overrides, key):
     assert err.startswith(f"ERROR validation: {key} must be ")
 
 
+# One out-of-range value per ranged key, on a command that reads it.
+RANGE_CASES = [
+    ("kerr", ["source.rs=-1"]),
+    ("kerr", ["source.a=-1"]),
+    ("equivalence", ["source.mass=0"]),
+    ("equivalence", ["source.mass=5.972e24", "source.angular_momentum=-1"]),
+    ("kerr", ["point.r=0"]),
+    ("kerr", ["path.length=-1"]),
+    ("kerr", ["light.omega0=0"]),
+    ("hom", ["light.sigma=-1"]),
+    ("feasibility", ["turntable.radius=0"]),
+    ("fiber", ["turntable.omega=-1"]),
+    ("fiber", ["turntable.velocity=1.5"]),
+    ("feasibility", ["turntable.windings=-1"]),
+    ("fiber", ["arms.length=0"]),
+    ("fiber", ["medium.a=-1"]),
+    ("fiber", ["medium.b=0.5"]),
+    ("fiber", ["medium.k0=0"]),
+    ("hom", ["interference.bins=1"]),
+    ("fig1", ["scan.r_max=-5"]),
+    ("fig1", ["scan.points=1"]),
+    ("fig3", ["sweep.points=0"]),
+]
+
+
+def test_range_cases_cover_every_ranged_key():
+    covered = {overrides[-1].split("=")[0] for _, overrides in RANGE_CASES}
+    assert covered == {key for key, (*_, allowed) in PARAMETERS.items() if allowed is not None}
+
+
+@pytest.mark.parametrize("command,overrides", RANGE_CASES,
+                         ids=[overrides[-1] for _, overrides in RANGE_CASES])
+def test_out_of_range_value_is_named_by_its_key(capsys, command, overrides):
+    argv = [command] + [arg for item in overrides for arg in ("--set", item)]
+    code, out, err = run_cli(capsys, *argv)
+    key = overrides[-1].split("=")[0]
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"ERROR validation: {key} must be "), err
+
+
+def test_out_of_range_config_line_is_named_by_path_line_and_key(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("light.omega0 = 2e6\nlight.sigma = -1\n")
+    code, out, err = run_cli(capsys, "hom", "--config", str(config))
+    assert code == 2 and out == ""
+    assert err == (f"ERROR validation: {config}:2: light.sigma must be finite and positive, "
+                   "got -1.0\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    # the metric method never reads the radius; it used to exit 0 and echo it
+    (["equivalence", "--set", "turntable.radius=-1"],
+     "turntable.radius must be finite and positive, got -1.0"),
+    # used to name the library's spin parameter: a must be finite and >= 0
+    (["kerr", "--set", "source.mass=5.972e24", "--set", "source.angular_momentum=-1e33"],
+     "source.angular_momentum must be finite and >= 0, got -1e+33"),
+    # out of range for a key the command does not read
+    (["hom", "--set", "turntable.velocity=1"],
+     "turntable.velocity must be a speed 0 <= v < 1 (fraction of c), got 1.0"),
+], ids=["unread-radius", "angular-momentum", "unread-velocity"])
+def test_out_of_range_value_is_refused_wherever_it_is_read(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"ERROR validation: {message}\n"
+
+
+def test_negative_zero_rate_reports_like_zero(capsys):
+    reports = []
+    for rate in ("turntable.omega=0", "turntable.omega=-0", "turntable.velocity=-0.0"):
+        code, out, _ = run_cli(capsys, "fiber", "--set", rate)
+        assert code == 0
+        reports.append([line for line in out.splitlines() if not line.startswith("input ")])
+    assert reports[0] == reports[1] == reports[2]
+    assert not [line for line in reports[0] if " = -0 " in line]
+    assert "sagnac_phase = 0 rad [sagnac-phase] (~0)" in reports[0]
+
+
 # --- random overrides: finite values at exit 0, a named error at exit 2 ----------
 
 OVERFLOW_PREFIX = "these inputs leave the float64 range: "
 BARE_MESSAGES = ("math domain error", "math range error", "float division by zero",
                  "division by zero", "integer division or modulo by zero",
                  "(34, 'Numerical result out of range')")
-FLOAT_KEYS = sorted(key for key, (kind, _) in PARAMETERS.items() if kind is float)
+FLOAT_KEYS = sorted(key for key, (kind, *_) in PARAMETERS.items() if kind is float)
 SIGNED_VALUES = st.builds(
     lambda magnitude, sign: sign * magnitude,
     st.floats(min_value=1e-310, max_value=1e308, allow_subnormal=True),
@@ -530,6 +618,8 @@ SIGNED_VALUES = st.builds(
 @example("feasibility", [("light.sigma", 1e200), ("turntable.windings", 3)])  # same, winding exponent
 @example("fiber", [("medium.a", 1e300)])  # same, (n -+ v)**2 in the GVD
 @example("kerr", [("source.rs", 1e200), ("source.a", 1e199), ("point.r", 1e201)])  # same, a**2
+@example("feasibility", [("turntable.omega", 1e-310)])  # 1/v**2 divides by an underflowed 0
+@example("feasibility", [("turntable.radius", 1e-200), ("light.sigma", 1e-200)])  # r sigma is 0
 @settings(max_examples=200, deadline=None)
 def test_random_overrides_give_finite_values_or_a_named_error(command, overrides):
     argv = [command] + [arg for key, value in overrides for arg in ("--set", f"{key}={value!r}")]

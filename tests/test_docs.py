@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from framedrag import cli
+from framedrag.errors import check_positive, check_speed
 from framedrag.scenario import PARAMETERS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,11 +34,25 @@ def _cli_output_anchors() -> set[str]:
     return anchors
 
 
+def _range_text(allowed) -> str:
+    """How the README's range column writes a PARAMETERS range."""
+    if allowed is None:
+        return "any"
+    if allowed is check_positive:
+        return "> 0"
+    if allowed is check_speed:
+        return "0 ≤ v < 1"
+    return f"≥ {allowed:g}"
+
+
 def test_readme_parameter_table_lists_every_key():
     section = README.read_text().split("### Parameters", 1)[1].split("\n#", 1)[0]
-    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
-    documented = re.findall(r"`([a-z0-9_]+\.[a-z0-9_]+)`", "".join(rows))
-    assert sorted(documented) == sorted(PARAMETERS)
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    documented = {re.fullmatch(r" `([a-z0-9_]+\.[a-z0-9_]+)` ", row[1]).group(1): row[3].strip()
+                  for row in rows}
+    assert len(documented) == len(rows)  # one row per key
+    assert documented == {key: _range_text(allowed)
+                          for key, (*_, allowed) in PARAMETERS.items()}
 
 
 def test_every_cli_anchor_is_documented():

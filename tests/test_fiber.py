@@ -68,6 +68,12 @@ def test_model_validation():
         RefractiveModel(A=0.0, B=1.5, k0=0.0)
 
 
+def test_model_rejects_an_infinite_index():
+    # n(k0) = A/k0 + B overflows although A, B and k0 are each finite
+    with pytest.raises(ValueError, match=r"^A / k0 must be finite and >= 0, got inf$"):
+        RefractiveModel(A=1e300, B=1.44, k0=1e-10)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["A", "B", "k0"])
 def test_model_rejects_non_finite(name, value):

@@ -259,6 +259,22 @@ def test_load_spectrum_roundtrip(tmp_path):
     assert total == pytest.approx(1.0, rel=1e-12)
 
 
+def test_loaded_narrowband_spectra_have_zero_coincidence_at_zero_delay(tmp_path):
+    # chi(0) and the weight sum used to round apart, giving p(0) = -2.2e-16 for
+    # about one spectrum in five here and a refused visibility
+    rng = np.random.default_rng(3)
+    path = tmp_path / "spectrum.txt"
+    for _ in range(300):
+        omegas = np.sort(rng.normal(2.0e6, 2.0e3, size=16))
+        density = np.exp(-0.5 * ((omegas - 2.0e6) / 2.0e3) ** 2) * rng.uniform(0.5, 1.0, 16)
+        np.savetxt(path, np.column_stack([omegas, density]))
+        with pytest.warns(SpectrumNormalizationWarning):
+            packet = load_spectrum(path)
+        assert hom_coincidence_general(packet, 0.0) == 0.0
+        assert hom_visibility(hom_coincidence_general(packet, 0.0), 0.5) == 1.0
+        assert 0.0 <= hom_coincidence_general(packet, 1e-12) <= 0.5
+
+
 def test_load_spectrum_rejects_bad_columns(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0 2.0 3.0\n4.0 5.0 6.0\n")

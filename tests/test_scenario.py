@@ -99,6 +99,26 @@ def test_assemble_checks_user_values_like_the_parser(key, value, match):
     assert Scenario.assemble({}, overrides={"light.sigma": 3000}).get("light.sigma") == 3000
 
 
+@pytest.mark.parametrize("key,value,match", [
+    ("light.sigma", 0.0, "light.sigma must be finite and positive, got 0.0"),
+    ("turntable.velocity", 1, r"turntable.velocity must be a speed 0 <= v < 1 .*, got 1.0"),
+    ("medium.b", 0.5, "medium.b must be finite and >= 1, got 0.5"),
+    ("scan.points", 1, "scan.points must be finite and >= 2, got 1"),
+])
+def test_assemble_checks_each_value_against_the_range_of_its_key(key, value, match):
+    for user in ({"config": {key: value}}, {"overrides": {key: value}}):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            Scenario.assemble({}, **user)
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        Scenario.assemble({key: value})
+
+
+def test_assemble_holds_each_value_as_the_type_of_its_key():
+    scenario = Scenario.assemble({"light.sigma": 3000}, overrides={"point.r": 5})
+    assert type(scenario.get("light.sigma")) is float
+    assert type(scenario.get("point.r")) is float
+
+
 def test_require_and_get():
     scenario = Scenario.assemble({}, overrides={"point.r": 5.0})
     assert scenario.require("point.r") == 5.0
@@ -162,6 +182,13 @@ def test_turntable_user_velocity_suppresses_default_omega():
     # and the defaults path still resolves omega when nothing is given
     table_default = Scenario.assemble(FIBER_LOOP_DEFAULTS).turntable()
     assert table_default.omega_rot == 2.0 * math.pi
+
+
+@pytest.mark.parametrize("rate", ["turntable.omega", "turntable.velocity"])
+def test_turntable_negative_zero_rate_is_zero(rate):
+    table = Scenario.assemble(FIBER_LOOP_DEFAULTS, overrides={rate: -0.0}).turntable()
+    assert math.copysign(1.0, table.v) == 1.0
+    assert math.copysign(1.0, table.omega_rot) == 1.0
 
 
 def test_turntable_missing_rate():

@@ -77,6 +77,17 @@ def test_windings_needed_default_turntable():
     assert turntable.windings_for_visibility_loss(5.0, 3.3e3, v) == 46
 
 
+@pytest.mark.parametrize("v", [1e-310, 1e-160, 1e-156])  # v * v is 0, 0, subnormal
+def test_windings_needed_names_its_overflow_at_tiny_speeds(v):
+    with pytest.raises(OverflowError, match=r"^windings_for_visibility_loss overflows at v = "):
+        turntable.windings_for_visibility_loss(5.0, 3.3e3, v)
+
+
+def test_min_velocity_names_an_underflowed_radius_times_width():
+    with pytest.raises(OverflowError, match=r"^min_velocity_for_visibility 1/\(2 pi r sigma\)"):
+        turntable.min_velocity_for_visibility(1e-200, 1e-200)
+
+
 # --- structure and invariants ------------------------------------------------
 
 @given(speeds, st.floats(1e-3, 1e3), st.floats(1.0, 1e7))
