@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import fiber, interference, kerr, reference, turntable
 from .constants import CONSTANTS, GravSource
-from .errors import GuardViolation, check_speed
+from .errors import GuardViolation, check_positive, check_speed
 from .interference import SpectrumNormalizationWarning
 from .scenario import (
     BLACK_HOLE_DEFAULTS,
@@ -59,7 +59,7 @@ class RunReport:
         self.table: tuple[str, list] | None = None
 
     def echo_inputs(self, scenario: Scenario) -> None:
-        for key, value in sorted(scenario.effective().items()):
+        for key, value in sorted(scenario.values.items()):
             unit = PARAMETERS[key][1]
             suffix = f" {unit}" if unit else ""
             self.lines.append(f"input {key} = {_fmt(value)}{suffix}")
@@ -441,6 +441,7 @@ def cmd_fig1(scenario: Scenario, args: argparse.Namespace) -> RunReport:
 
     report = RunReport()
     source = scenario.source()
+    check_positive(source.r_s, "source.rs")  # the scan's unit of radius
     omega0 = scenario.require("light.omega0")
     sigma = scenario.require("light.sigma")
     r_max = scenario.require("scan.r_max")

@@ -65,6 +65,9 @@ class RefractiveModel:
         check_at_least(self.B, 1.0, "B")
         check_positive(self.k0, "k0")
         check_at_least(self.A / self.k0, 0.0, "A / k0")  # n(k0) = A/k0 + B stays finite
+        low = self.k0 / 10.0  # the derivatives divide by k^2 and k^3 down to k0/10
+        if not low * low * low > 0.0:
+            raise ValueError(f"k0 must be large enough that (k0/10)^3 > 0, got {self.k0!r}")
 
     @classmethod
     def fused_silica(cls) -> "RefractiveModel":

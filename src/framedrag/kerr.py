@@ -72,6 +72,8 @@ class KerrPoint:
 
     def __post_init__(self) -> None:
         check_positive(self.r, "r")
+        if not self.r * self.r > 0.0:  # the metric and the light speeds divide by r^2
+            raise ValueError(f"r must be large enough that r^2 > 0, got {self.r!r}")
         if self.source.sub_extremal and self.source.r_s > 0.0:
             r_plus = horizon_radius(self.source)
             if self.r <= r_plus:

@@ -72,6 +72,12 @@ class UnreproducedTarget:
 
 _FORM = "{label} {worst:.3e} vs bound {bound:.3e} over {count} points"
 
+# Fixed inputs of the checks below.
+_FOCK_BINS = 1024  # the Fock-oracle grid checked against quadrature
+_UNITARITY_BINS = 512  # the grid whose pair probabilities must sum to one
+_TWO_WAY_SAMPLES, _TWO_WAY_SEED = 100, 20250814  # random draws per two-way check
+_FIG1_SIGMA = 3.5e3  # rad/m, the width of the default fig1 scan
+
 
 def _worst(values) -> float:
     """The largest value, or NaN if any value is NaN (``max`` would skip it)."""
@@ -109,46 +115,28 @@ def check_null_residual() -> CheckResult:
                    1.0e-12)
 
 
-def _mp_full_speed(r_s, a, r, sign):
-    import mpmath as mp
-
-    big_p = r * r + a * a * (1 + r_s / r)
-    drag = r_s * a / (r * mp.sqrt(big_p))
-    root = mp.sqrt(drag * drag + 1 - r_s / r)
-    return drag + root if sign > 0 else drag - root
-
-
-def check_weak_vs_full(weak_fn: Callable[..., float] | None = None) -> CheckResult:
+def check_weak_vs_full(weak_fn: Callable[..., float] = kerr.light_speed_weak) -> CheckResult:
     """Weak-field truncation error against the quadratic envelope (K = 1).
 
-    Both routes run in 50-digit arithmetic on a log grid of
-    (r_s/r, a/r) in [1e-12, 1e-3]^2 — the differences sit far below
-    double rounding there.  ``weak_fn`` may inject a (double-precision)
-    weak formula to test that tampering is caught; the grid then shrinks
-    to [1e-5, 1e-3]^2 so the envelope stays clear of double rounding.
+    ``weak_fn`` (the shipped double-precision formula unless a test injects
+    a tampered one) runs against the full speed in 50-digit arithmetic on a
+    log grid of (r_s/r, a/r) in [1e-5, 1e-3]^2, where the envelope stays
+    clear of double rounding.
     """
     import mpmath as mp
 
     deviations = []
-    low_exp = mp.mpf(-12) if weak_fn is None else mp.mpf(-5)
     with mp.workdps(50):
-        for rs_over_r in mp.linspace(low_exp, mp.mpf(-3), 5):
-            for a_over_r in mp.linspace(low_exp, mp.mpf(-3), 5):
-                r = mp.mpf(1)
-                r_s = mp.power(10, rs_over_r)
-                a = mp.power(10, a_over_r)
-                envelope = (r_s / r) ** 2 + (a / r) ** 2 + (r_s * a / r**2) * (r_s / r)
+        for rs_over_r in mp.linspace(-5, -3, 5):
+            for a_over_r in mp.linspace(-5, -3, 5):
+                r_s, a = mp.power(10, rs_over_r), mp.power(10, a_over_r)  # at r = 1
+                envelope = r_s ** 2 + a ** 2 + r_s * a * r_s
+                drag = r_s * a / mp.sqrt(1 + a * a * (1 + r_s))  # full speed = drag +- root
+                root = mp.sqrt(drag * drag + 1 - r_s)
+                point = kerr.KerrPoint(source=GravSource(r_s=float(r_s), a=float(a)), r=1.0)
                 for direction, sign in (("co", 1), ("counter", -1)):
-                    full = _mp_full_speed(r_s, a, r, sign)
-                    if weak_fn is None:
-                        radial = 1 - r_s / (2 * r)
-                        drag = r_s * a / r**2
-                        weak = radial + drag if sign > 0 else -(radial - drag)
-                    else:
-                        point = kerr.KerrPoint(
-                            source=GravSource(r_s=float(r_s), a=float(a)), r=1.0)
-                        weak = mp.mpf(weak_fn(point, direction, force=True))
-                    deviations.append(abs(weak - full) / envelope)
+                    weak = mp.mpf(weak_fn(point, direction, force=True))
+                    deviations.append(abs(weak - (drag + sign * root)) / envelope)
     return _result("weak-vs-full-envelope", deviations, 1.0, label="max error/envelope",
                    form="{label} {worst:.3e} (K=1) over {count} points")
 
@@ -189,21 +177,21 @@ def check_single_photon_closed_vs_quadrature() -> CheckResult:
                     for delta_phi in (0.0, 7.0e-3, 0.05)], 1.0e-9)
 
 
-def check_fock_vs_quadrature(bins: int = 1024) -> CheckResult:
+def check_fock_vs_quadrature() -> CheckResult:
     sigma = 3.5e3
     packet = Wavepacket.gaussian(2.0e6, sigma)
     delays = [x / sigma for x in (0.0, 0.5, 1.0, 2.0, 5.0)]
     return _result("fock-vs-quadrature",
-                   [abs(interference.fock_oracle_hom(packet, delta_t, bins=bins)
+                   [abs(interference.fock_oracle_hom(packet, delta_t, bins=_FOCK_BINS)
                         - interference.hom_coincidence_general(packet, delta_t))
                     for delta_t in delays], 1.0e-6)
 
 
-def check_fock_unitarity(bins: int = 512) -> CheckResult:
+def check_fock_unitarity() -> CheckResult:
     from ._kernels import hom_pair_probabilities
 
     packet = Wavepacket.gaussian(2.0e6, 3.5e3)
-    omegas, weights = interference.fock_grid(packet, bins)
+    omegas, weights = interference.fock_grid(packet, _UNITARITY_BINS)
     return _result("fock-unitarity",
                    [abs(sum(hom_pair_probabilities(weights, omegas, delta_t)) - 1.0)
                     for delta_t in (0.0, 2.0e-4, 1.0e-3)], 1.0e-12)
@@ -235,12 +223,12 @@ def check_wavepacket_normalization() -> CheckResult:
 
 # --- two-way isotropy -------------------------------------------------------
 
-def check_two_way_turntable(samples: int = 100, seed: int = 20250814) -> CheckResult:
+def check_two_way_turntable() -> CheckResult:
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_TWO_WAY_SEED)
     deviations = []
-    for _ in range(samples):
+    for _ in range(_TWO_WAY_SAMPLES):
         v = float(rng.uniform(0.0, 0.99))
         r_t = float(rng.uniform(1.0e-2, 1.0e3))
         omega = float(rng.uniform(1.0, 1.0e7))
@@ -249,12 +237,12 @@ def check_two_way_turntable(samples: int = 100, seed: int = 20250814) -> CheckRe
     return _result("two-way-turntable", deviations, 1.0e-12, label="max rel diff")
 
 
-def check_two_way_kerr(samples: int = 100, seed: int = 20250814) -> CheckResult:
+def check_two_way_kerr() -> CheckResult:
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_TWO_WAY_SEED)
     deviations = []
-    for _ in range(samples):
+    for _ in range(_TWO_WAY_SAMPLES):
         rs_over_r = float(10.0 ** rng.uniform(-12.0, math.log10(0.0099)))
         a_over_r = float(10.0 ** rng.uniform(-12.0, math.log10(0.0099)))
         point = kerr.KerrPoint(source=GravSource(r_s=rs_over_r, a=a_over_r), r=1.0)
@@ -463,7 +451,7 @@ def unreproduced_targets() -> list[UnreproducedTarget]:
     ]
 
 
-def fig1_crossover_radius(sigma: float = 3.5e3) -> float:
+def fig1_crossover_radius() -> float:
     """Radius (in units of r_s) where the default scan visibility crosses 1/2.
 
     Root-found with Brent's method on the full-mode delay; frozen as a
@@ -478,6 +466,6 @@ def fig1_crossover_radius(sigma: float = 3.5e3) -> float:
     def deficit(r_over_rs: float) -> float:
         point = kerr.KerrPoint(source=source, r=r_over_rs * source.r_s)
         delta_t = kerr.kerr_time_delay_full(point, 2.0 * math.pi * point.r)
-        return interference.gaussian_visibility(delta_t, sigma) - 0.5
+        return interference.gaussian_visibility(delta_t, _FIG1_SIGMA) - 0.5
 
     return brentq(deficit, 1.0e8, 1.0e9, xtol=1.0e-3, rtol=8.882e-16)

@@ -2,16 +2,21 @@
 
 Config files are plain text, one ``section.key = value`` per line, with
 ``#`` comments.  Command-line ``--set`` flags override file values, which
-override per-command defaults.  Exactly one of ``turntable.omega`` and
-``turntable.velocity`` may be given; supplying either suppresses the
-default of the other.  Every value must be finite and inside the range
-``PARAMETERS`` gives its key; an error names the key.
+override per-command defaults.  ``_ALTERNATIVES`` lists the keys that give
+one quantity two ways: the source as ``source.rs``/``source.a`` or as
+``source.mass``/``source.angular_momentum``, the turntable rate as
+``turntable.omega`` or ``turntable.velocity``.  A user value on one side
+drops the defaults of the other; user values on both sides are refused.
+Every value must be finite and inside the range ``PARAMETERS`` gives its
+key; an error names the key.  ``Scenario.values`` is the one resolved
+map a run reads; the input echo lists exactly that map, so a dropped
+default never appears in it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .constants import CONSTANTS, GravSource
@@ -179,32 +184,41 @@ HOM_DEFAULTS: Mapping[str, float | int] = {
 }
 
 
+# The keys that give one quantity two ways: a user value on one side drops
+# the defaults of the other, and user values on both sides are refused.
+_ALTERNATIVES = (
+    (("source.rs", "source.a"), ("source.mass", "source.angular_momentum")),
+    (("turntable.omega",), ("turntable.velocity",)),
+)
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Merged parameter bundle: per-command defaults under user values."""
+    """The resolved parameters of one run: each key once, checked by its range."""
 
-    defaults: Mapping[str, float | int] = field(default_factory=dict)
-    user: Mapping[str, float | int] = field(default_factory=dict)
+    values: Mapping[str, float | int]
 
     @classmethod
     def assemble(cls, defaults: Mapping[str, float | int],
                  config: Mapping[str, float | int] | None = None,
                  overrides: Mapping[str, float | int] | None = None) -> "Scenario":
-        """Check every value by its key and hold it as its PARAMETERS type."""
+        """Defaults under user values, resolved by ``_ALTERNATIVES`` and checked by key."""
         user = {**(config or {}), **(overrides or {})}
-        for key in [*defaults, *user]:
+        values = {key: val for key, val in defaults.items() if key not in user}
+        for left, right in _ALTERNATIVES:
+            if user.keys() & left and user.keys() & right:
+                raise ValueError(f"give either {'/'.join(left)} or {'/'.join(right)}, not both")
+            for side, other in ((left, right), (right, left)):
+                if user.keys() & side:
+                    values = {key: val for key, val in values.items() if key not in other}
+        values.update(user)
+        for key in values:
             if key not in PARAMETERS:
                 raise ValueError(f"unknown config key {key!r}")
-        return cls(defaults={key: _check_value(key, val, val) for key, val in defaults.items()},
-                   user={key: _check_value(key, val, val) for key, val in user.items()})
-
-    def has(self, key: str) -> bool:
-        return key in self.user or key in self.defaults
+        return cls({key: _check_value(key, val, val) for key, val in values.items()})
 
     def get(self, key: str, fallback: Any = None) -> Any:
-        if key in self.user:
-            return self.user[key]
-        return self.defaults.get(key, fallback)
+        return self.values.get(key, fallback)
 
     def require(self, key: str) -> float | int:
         value = self.get(key)
@@ -212,32 +226,22 @@ class Scenario:
             raise ValueError(f"missing required config key {key!r}")
         return value
 
-    def effective(self) -> dict[str, float | int]:
-        merged = dict(self.defaults)
-        merged.update(self.user)
-        return merged
-
     # --- domain-object builders (each value was checked by key in assemble) ---
 
     def source(self) -> GravSource:
-        """From source.rs/source.a, unless the user gave only source.mass of the two."""
-        geometric = "source.rs" in self.user or "source.a" in self.user
-        if self.has("source.rs") and (geometric or "source.mass" not in self.user):
-            return GravSource(r_s=self.require("source.rs"), a=self.get("source.a", 0.0))
-        if self.has("source.mass"):
-            return GravSource.from_mass(
-                self.require("source.mass"),
-                self.get("source.angular_momentum", 0.0),
-            )
+        """From source.mass/source.angular_momentum if given, else source.rs/source.a."""
+        if "source.mass" in self.values:
+            return GravSource.from_mass(self.values["source.mass"],
+                                        self.get("source.angular_momentum", 0.0))
+        if "source.rs" in self.values:
+            return GravSource(r_s=self.values["source.rs"], a=self.get("source.a", 0.0))
         raise ValueError("missing source parameters (source.rs/source.a or source.mass)")
 
     def point(self) -> KerrPoint:
         return KerrPoint(source=self.source(), r=self.require("point.r"))
 
     def path_length(self) -> float:
-        if self.has("path.length"):
-            return self.require("path.length")
-        return math.pi * self.require("point.r")
+        return self.get("path.length", math.pi * self.require("point.r"))
 
     def wavepacket(self) -> Wavepacket:
         return Wavepacket.gaussian(self.require("light.omega0"), self.require("light.sigma"))
@@ -246,16 +250,12 @@ class Scenario:
         """The platform; a rate that overflows with the radius is named by its config keys."""
         r_t = self.require("turntable.radius")
         windings = self.get("turntable.windings", 0)
-        given = {"turntable.omega", "turntable.velocity"} & self.user.keys()
-        if len(given) == 2:
-            raise ValueError("give exactly one of turntable.omega and turntable.velocity")
-        rates = self.user if given else self.defaults
-        if "turntable.velocity" in rates:
-            v = rates["turntable.velocity"] + 0.0  # -0.0 -> 0.0, so no output prints -0
+        if "turntable.velocity" in self.values:
+            v = self.values["turntable.velocity"] + 0.0  # -0.0 -> 0.0, so no output prints -0
             check_at_least(v * CONSTANTS.c / r_t, 0.0, "turntable.velocity * c / turntable.radius")
             return TurntableConfig.from_velocity(r_t, v, windings=windings)
-        if "turntable.omega" in rates:
-            omega = rates["turntable.omega"] + 0.0  # -0.0 -> 0.0, as for the velocity
+        if "turntable.omega" in self.values:
+            omega = self.values["turntable.omega"] + 0.0  # -0.0 -> 0.0, as for the velocity
             check_speed(omega * r_t / CONSTANTS.c, "turntable.omega * turntable.radius / c")
             return TurntableConfig.from_angular_frequency(r_t, omega, windings=windings)
         raise ValueError("missing turntable.omega or turntable.velocity")

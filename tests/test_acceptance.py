@@ -224,7 +224,7 @@ def test_criterion_07_hom_exactness():
               and abs(p_far_general - 0.5) <= 1.0e-12)
 
     closed_vs_quad = reference.check_hom_closed_vs_quadrature()
-    fock = reference.check_fock_vs_quadrature(bins=1024)
+    fock = reference.check_fock_vs_quadrature()
 
     ok = ok_zero and ok_far and closed_vs_quad.passed and fock.passed
     record(7, "hom-exactness", ok,
@@ -240,8 +240,8 @@ def test_criterion_07_hom_exactness():
 # --- criterion 8: two-way isotropy --------------------------------------------------
 
 def test_criterion_08_two_way_isotropy():
-    kerr_check = reference.check_two_way_kerr(samples=100)
-    table_check = reference.check_two_way_turntable(samples=100)
+    kerr_check = reference.check_two_way_kerr()
+    table_check = reference.check_two_way_turntable()
     ok = kerr_check.passed and table_check.passed
     record(8, "two-way-isotropy", ok,
            f"Kerr: {kerr_check.detail}; turntable: {table_check.detail}")

@@ -230,6 +230,40 @@ def test_input_echo_units_of_keys_outside_the_golden_set(capsys):
     assert "input turntable.velocity = 1.0000000000000001e-09 c\n" in out
 
 
+@pytest.mark.parametrize("argv, echoed", [
+    # the source.rs/source.a defaults used to be echoed though the run used the mass
+    (["kerr", "--set", "source.mass=5.972e24", "--set", "source.angular_momentum=7.07e33"],
+     ["light.omega0", "light.sigma", "point.r", "source.angular_momentum", "source.mass"]),
+    # the turntable.omega default used to be echoed beside the velocity the run used
+    (["fiber", "--set", "turntable.velocity=1e-9"],
+     sorted({*FIBER_LOOP_DEFAULTS, "turntable.velocity"} - {"turntable.omega"})),
+], ids=["source-mass", "turntable-velocity"])
+def test_input_echo_lists_exactly_the_values_used(capsys, argv, echoed):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("input ")] == echoed
+
+
+COMMANDS = ("kerr", "equivalence", "feasibility", "hom", "fiber", "fig1", "fig3")
+BOTH_RATES = ["--set", "turntable.omega=1", "--set", "turntable.velocity=1e-9"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # used to exit 0 and print the default-source delay
+    (["kerr", "--set", "source.angular_momentum=1e40"],
+     "missing source parameters (source.rs/source.a or source.mass)"),
+    (["kerr", "--set", "source.rs=0.009", "--set", "source.mass=5.972e24"],
+     "give either source.rs/source.a or source.mass/source.angular_momentum, not both"),
+    # only the commands that read a rate refused both; kerr exited 0
+    *[([command, *BOTH_RATES], "give either turntable.omega or turntable.velocity, not both")
+      for command in COMMANDS],
+], ids=["lone-angular-momentum", "rs-and-mass", *(f"both-rates-{c}" for c in COMMANDS)])
+def test_alternative_keys_are_refused_unless_they_resolve(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"ERROR validation: {message}\n"
+
+
 def test_report_csv(capsys, tmp_path):
     path = tmp_path / "fiber.csv"
     code, out, _ = run_cli(capsys, "fiber", "--csv", str(path))
@@ -308,7 +342,9 @@ def test_fig1_reports_unmet_visibility_target(capsys):
     (["--points", "1"], "scan.points must be finite and >= 2, got 1"),
     (["--r-max", "-5"], "scan.r_max must be finite and positive, got -5.0"),
     (["--set", "light.sigma=-1"], "light.sigma must be finite and positive, got -1.0"),
-], ids=["points-1", "negative-r-max", "negative-sigma"])
+    # used to name the library argument: r_s must be finite and positive
+    (["--set", "source.rs=0"], "source.rs must be finite and positive, got 0.0"),
+], ids=["points-1", "negative-r-max", "negative-sigma", "zero-rs"])
 def test_fig1_rejects_bad_scan(capsys, tmp_path, argv, message):
     path = tmp_path / "fig1.csv"
     for extra in ([], ["--csv", str(path)]):
@@ -597,14 +633,27 @@ BARE_MESSAGES = ("math domain error", "math range error", "float division by zer
                  "division by zero", "integer division or modulo by zero",
                  "(34, 'Numerical result out of range')")
 FLOAT_KEYS = sorted(key for key, (kind, *_) in PARAMETERS.items() if kind is float)
-SIGNED_VALUES = st.builds(
-    lambda magnitude, sign: sign * magnitude,
-    st.floats(min_value=1e-310, max_value=1e308, allow_subnormal=True),
-    st.sampled_from((1.0, -1.0)))
+MAGNITUDES = st.floats(min_value=1e-310, max_value=1e308, allow_subnormal=True)
 
 
-@given(st.sampled_from(("kerr", "equivalence", "feasibility", "hom", "fiber", "fig1", "fig3")),
-       st.lists(st.tuples(st.sampled_from(FLOAT_KEYS), SIGNED_VALUES), min_size=1, max_size=3))
+def _in_range_values(key):
+    """Values the key's range mostly admits, so the draws reach the report code."""
+    if key == "turntable.velocity":
+        return st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    if PARAMETERS[key][2] is None:  # any finite value
+        return st.builds(lambda magnitude, sign: sign * magnitude, MAGNITUDES,
+                         st.sampled_from((1.0, -1.0)))
+    return MAGNITUDES
+
+
+OVERRIDES = st.sampled_from(FLOAT_KEYS).flatmap(
+    lambda key: st.tuples(st.just(key), _in_range_values(key)))
+
+
+@given(st.sampled_from(COMMANDS), st.lists(OVERRIDES, min_size=1, max_size=3))
+@example("kerr", [("point.r", -1.0)])  # out of range, each kind: > 0,
+@example("equivalence", [("source.a", -1.0)])  # >= a bound,
+@example("fiber", [("turntable.velocity", 1.5)])  # and a speed
 @example("feasibility", [("light.sigma", 1e300)])  # OverflowError traceback
 @example("fiber", [("medium.b", 1e308)])  # OverflowError traceback
 @example("kerr", [("point.r", 1.3e250)])  # g_phiphi = -inf at exit 0
@@ -620,6 +669,8 @@ SIGNED_VALUES = st.builds(
 @example("kerr", [("source.rs", 1e200), ("source.a", 1e199), ("point.r", 1e201)])  # same, a**2
 @example("feasibility", [("turntable.omega", 1e-310)])  # 1/v**2 divides by an underflowed 0
 @example("feasibility", [("turntable.radius", 1e-200), ("light.sigma", 1e-200)])  # r sigma is 0
+@example("fiber", [("medium.k0", 1.135303464291261e-250)])  # dn/dk = -A/k^2 divides by 0
+@example("equivalence", [("point.r", 1e-310), ("source.mass", 1e-310)])  # same, r_s a / r^2
 @settings(max_examples=200, deadline=None)
 def test_random_overrides_give_finite_values_or_a_named_error(command, overrides):
     argv = [command] + [arg for key, value in overrides for arg in ("--set", f"{key}={value!r}")]

@@ -74,6 +74,15 @@ def test_model_rejects_an_infinite_index():
         RefractiveModel(A=1e300, B=1.44, k0=1e-10)
 
 
+def test_model_rejects_a_k0_whose_derivatives_divide_by_zero():
+    # k^2 underflowed to 0 on the window, so dn/dk = -A/k^2 raised ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^k0 must be large enough that \(k0/10\)\^3 > 0, "
+                                         r"got 1e-250$"):
+        RefractiveModel(A=0.0, B=1.5, k0=1e-250)
+    model = RefractiveModel(A=1.0, B=1.5, k0=1e-100)  # the smallest cube is still > 0
+    assert model.n_double_prime(1e-101) == pytest.approx(2e303)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["A", "B", "k0"])
 def test_model_rejects_non_finite(name, value):

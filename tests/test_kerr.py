@@ -164,10 +164,17 @@ def test_point_inside_horizon_rejected():
 
 
 def test_super_extremal_point_has_no_horizon_constraint():
-    # Earth-like sources (a > r_s/2) admit any positive radius
+    # Earth-like sources (a > r_s/2) admit any positive radius whose square is > 0
     KerrPoint(source=EARTH, r=1e-6)
     with pytest.raises(ValueError):
         horizon_radius(EARTH)
+
+
+def test_point_whose_square_underflows_is_rejected():
+    # r^2 = 0 made the light speeds and the metric matching divide by zero
+    with pytest.raises(ValueError, match=r"^r must be large enough that r\^2 > 0, got 1e-200$"):
+        KerrPoint(source=GravSource(r_s=0.0, a=0.0), r=1e-200)
+    KerrPoint(source=GravSource(r_s=0.0, a=0.0), r=1e-150)
 
 
 def test_counter_speed_is_dragged_forward_only_inside_the_ergosphere():

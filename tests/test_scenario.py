@@ -76,7 +76,7 @@ def test_assemble_precedence():
     assert scenario.get("point.r") == 2.0e3       # --set beats config
     assert scenario.get("light.sigma") == 1.0e3   # config beats defaults
     assert scenario.get("light.omega0") == 2.0e6  # default survives
-    assert scenario.effective()["point.r"] == 2.0e3
+    assert scenario.values == {**EARTH_SURFACE_DEFAULTS, "point.r": 2.0e3, "light.sigma": 1.0e3}
 
 
 def test_assemble_rejects_unknown_keys():
@@ -123,18 +123,25 @@ def test_require_and_get():
     scenario = Scenario.assemble({}, overrides={"point.r": 5.0})
     assert scenario.require("point.r") == 5.0
     assert scenario.get("light.sigma", 42.0) == 42.0
-    assert not scenario.has("light.sigma")
+    assert scenario.values == {"point.r": 5.0}
     with pytest.raises(ValueError, match="missing required"):
         scenario.require("light.sigma")
 
 
 # --- domain-object builders --------------------------------------------------------
 
-def test_source_geometric_beats_si():
-    scenario = Scenario.assemble(
-        {}, overrides={"source.rs": 0.009, "source.a": 3.9, "source.mass": 1.0e30})
-    source = scenario.source()
-    assert source.r_s == 0.009 and source.a == 3.9
+@pytest.mark.parametrize("geometric,si", [
+    ("source.rs", "source.mass"),
+    ("source.a", "source.mass"),
+    ("source.rs", "source.angular_momentum"),
+])
+def test_source_from_both_sides_is_refused(geometric, si):
+    message = "give either source.rs/source.a or source.mass/source.angular_momentum, not both"
+    for user in ({"overrides": {geometric: 1.0, si: 1.0}},
+                 {"config": {geometric: 1.0}, "overrides": {si: 1.0}},
+                 {"config": {si: 1.0}, "overrides": {geometric: 1.0}}):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Scenario.assemble(EARTH_SURFACE_DEFAULTS, **user)
 
 
 def test_source_from_mass():
@@ -147,9 +154,25 @@ def test_source_from_mass():
     assert source.a == reference.a
 
 
+def test_source_si_keys_drop_the_geometric_defaults():
+    scenario = Scenario.assemble(EARTH_SURFACE_DEFAULTS, overrides={"source.mass": 5.972e24})
+    assert "source.rs" not in scenario.values and "source.a" not in scenario.values
+    assert scenario.source() == GravSource.from_mass(5.972e24, 0.0)
+    # a geometric key keeps the other geometric default
+    spin = Scenario.assemble(EARTH_SURFACE_DEFAULTS, overrides={"source.a": 1.0})
+    assert spin.source() == GravSource(r_s=0.009, a=1.0)
+
+
 def test_source_missing():
     with pytest.raises(ValueError, match="missing source"):
         Scenario.assemble({}).source()
+    # the angular momentum alone drops the geometric defaults and gives no mass
+    lone_spin = Scenario.assemble(EARTH_SURFACE_DEFAULTS,
+                                  overrides={"source.angular_momentum": 1.0e40})
+    assert lone_spin.values.keys() == {"point.r", "light.omega0", "light.sigma",
+                                       "source.angular_momentum"}
+    with pytest.raises(ValueError, match="missing source"):
+        lone_spin.source()
 
 
 def test_point_and_path_length():
@@ -168,10 +191,12 @@ def test_wavepacket_builder():
 
 
 def test_turntable_exclusivity():
-    with pytest.raises(ValueError, match="exactly one"):
-        Scenario.assemble(
-            {}, overrides={"turntable.radius": 0.2, "turntable.omega": 1.0,
-                           "turntable.velocity": 1.0e-9}).turntable()
+    message = "^give either turntable.omega or turntable.velocity, not both$"
+    for user in ({"overrides": {"turntable.omega": 1.0, "turntable.velocity": 1.0e-9}},
+                 {"config": {"turntable.omega": 1.0}, "overrides": {"turntable.velocity": 0.0}}):
+        for defaults in ({}, EARTH_SURFACE_DEFAULTS, FIBER_LOOP_DEFAULTS):
+            with pytest.raises(ValueError, match=message):
+                Scenario.assemble(defaults, **user)
 
 
 def test_turntable_user_velocity_suppresses_default_omega():
@@ -179,6 +204,7 @@ def test_turntable_user_velocity_suppresses_default_omega():
                                  overrides={"turntable.velocity": 2.0e-9})
     table = scenario.turntable()
     assert table.v == 2.0e-9
+    assert "turntable.omega" not in scenario.values
     # and the defaults path still resolves omega when nothing is given
     table_default = Scenario.assemble(FIBER_LOOP_DEFAULTS).turntable()
     assert table_default.omega_rot == 2.0 * math.pi
