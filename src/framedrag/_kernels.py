@@ -4,10 +4,13 @@ The discretized coincidence oracle scales as O(M^2) in the number of
 spectral bins — the only genuinely hot loop in the package.  The kernel
 is blocked numpy: it streams blocks of 256 rows, so its temporaries take
 O(256 M) memory rather than several M x M complex arrays, and reduces
-each block with ``np.dot``.  Against the earlier M x M numpy form it
-measured 70 -> 11 ms at M = 1024 and 302 -> 46 ms at M = 2048 (best of
-5, one BLAS thread, 2-vCPU x86-64 host, Python 3.11, numpy 2.4).  It
-performs explicit pairwise mode-operator bookkeeping, with independent
+each block with ``np.dot``.  The three block temporaries are allocated
+once per call, at the largest block size, and every block is written
+into them in place.  Against fresh temporaries per block it measured
+11.5 -> 8.7 ms at M = 1024 and 36.5 -> 28.4 ms at M = 2048 with the same
+bits (median of 5 fresh-process ``layerbench/fock_probe.py`` runs, one
+BLAS thread, 2-vCPU x86-64 host, Python 3.11, numpy 2.4).  It performs
+explicit pairwise mode-operator bookkeeping, with independent
 coincidence and bunching totals; it may not collapse the sum into the
 factorized characteristic-function shortcut used by the closed forms the
 oracle exists to check.  ``_pair_sums_loops`` is the plain-Python
@@ -26,7 +29,8 @@ import numpy as np
 __all__ = ["hom_pair_probabilities"]
 
 # Rows per block of the numpy pair sum: its temporaries are three
-# _BLOCK_ROWS x M complex arrays (about 22 MB at M = 2048), never M x M.
+# _BLOCK_ROWS x (M - _BLOCK_ROWS) complex buffers (about 22 MB at M = 2048),
+# never M x M.
 _BLOCK_ROWS = 256
 
 
@@ -50,14 +54,18 @@ def _pair_sums_loops(amp: np.ndarray, phase: np.ndarray) -> tuple[float, float]:
     return 0.25 * coinc, 0.25 * bunch
 
 
-def _block_sums(amp: np.ndarray, ap: np.ndarray, rows: slice,
-                cols: slice) -> tuple[float, float]:
+def _block_sums(amp: np.ndarray, ap: np.ndarray, rows: slice, cols: slice,
+                buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[float, float]:
     # Sums of |C_xy - C_yx|^2 and |C_xy + C_yx|^2 over x in rows, y in cols,
     # each reduced by np.dot over the float64 view of the complex block.
-    c_xy = amp[rows, None] * ap[cols]
-    c_yx = ap[rows, None] * amp[cols]
-    d = (c_xy - c_yx).view(np.float64).ravel()
+    # The block is written into the leading part of the three flat buffers.
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    c_xy, c_yx, d = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
+    np.multiply(amp[rows, None], ap[cols], out=c_xy)
+    np.multiply(ap[rows, None], amp[cols], out=c_yx)
+    np.subtract(c_xy, c_yx, out=d)
     c_xy += c_yx
+    d = d.view(np.float64).ravel()
     s = c_xy.view(np.float64).ravel()
     return float(np.dot(d, d)), float(np.dot(s, s))
 
@@ -68,15 +76,20 @@ def _pair_sums_numpy(amp: np.ndarray, phase: np.ndarray) -> tuple[float, float]:
     # of C_xy - C_yx, and C_xy + C_yx commutes.  So each row block adds its
     # diagonal block once and the block right of it twice, which counts
     # every ordered pair once from explicitly evaluated C_xy, C_yx products.
+    # The largest block is the first row block's right part (or the
+    # diagonal block, when M < 2 _BLOCK_ROWS); every block reuses its buffers.
     ap = amp * phase
     m = amp.shape[0]
+    rows_max = min(_BLOCK_ROWS, m)
+    size = rows_max * max(rows_max, m - rows_max)
+    buffers = tuple(np.empty(size, np.complex128) for _ in range(3))
     coinc = 0.0
     bunch = 0.0
     for start in range(0, m, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, m)
         rows = slice(start, stop)
-        diag_d, diag_s = _block_sums(amp, ap, rows, rows)
-        right_d, right_s = _block_sums(amp, ap, rows, slice(stop, m))
+        diag_d, diag_s = _block_sums(amp, ap, rows, rows, buffers)
+        right_d, right_s = _block_sums(amp, ap, rows, slice(stop, m), buffers)
         coinc += diag_d + 2.0 * right_d
         bunch += diag_s + 2.0 * right_s
     return 0.25 * coinc, 0.25 * bunch

@@ -303,11 +303,13 @@ def downconverted_coincidence(sigma: float, coeffs: DispersionCoefficients,
 
     def integrand(w: float) -> float:
         rho = norm * math.exp(-(w / sigma) ** 2)
-        route_a = complex(math.cos((da * w + bs * w * w) * length),
-                          math.sin((da * w + bs * w * w) * length))
-        route_b = complex(math.cos((-da * w + bs * w * w) * length),
-                          math.sin((-da * w + bs * w * w) * length))
-        return rho * 0.5 * abs(route_a - route_b) ** 2
+        quadratic = bs * w * w
+        phase_a = (da * w + quadratic) * length
+        phase_b = (-da * w + quadratic) * length
+        # |e^{i a} - e^{i b}|, as complex abs evaluates it (libm hypot, which
+        # math.hypot does not match to the last bit)
+        return rho * 0.5 * abs(complex(math.cos(phase_a) - math.cos(phase_b),
+                                       math.sin(phase_a) - math.sin(phase_b))) ** 2
 
     value, _ = quad(integrand, -half, half, **_QUAD_OPTS)
     return 0.5 * value

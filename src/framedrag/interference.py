@@ -105,11 +105,16 @@ class Wavepacket:
         return cls(omega0=mean, sigma=width, grid_omega=omegas, grid_density=density)
 
     def density(self, omega):
-        """Spectral density at ``omega`` (vectorized; zero outside a tabulated grid)."""
+        """Spectral density at ``omega``, a float or an array (zero outside a tabulated grid).
+
+        Both paths evaluate one formula: a float stays a Python float up to
+        ``np.exp``, so ``float(density(x))`` equals the array path's element
+        for x bit for bit.
+        """
         import numpy as np
 
         if self.grid_omega is None:
-            u = (np.asarray(omega, dtype=float) - self.omega0) / self.sigma
+            u = (omega - self.omega0) / self.sigma
             return np.exp(-u * u) / (math.sqrt(math.pi) * self.sigma)
         return np.interp(omega, self.grid_omega, self.grid_density, left=0.0, right=0.0)
 

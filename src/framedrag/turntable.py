@@ -142,11 +142,17 @@ def equivalence_velocity_timeshift(source: GravSource, r: float, r_t: float, *,
     KerrPoint(source=source, r=r)  # validates r against the horizon
     check_positive(r_t, "r_t")
     r_s, a = source.r_s, source.a
-    x = r_s * a / (r * r_t)
+    radii = r * r_t
+    if radii == 0.0:  # r r_t below ~1e-324 underflows
+        raise OverflowError(f"equivalence_velocity_timeshift r_s a/(r r_t) overflows at "
+                            f"r = {r!r}, r_t = {r_t!r}")
+    x = r_s * a / radii
     if metric_time:
         if r <= r_s:
             raise ValueError(f"metric-time matching needs r > r_s, got r = {r!r}")
         x /= math.sqrt(1.0 - r_s / r)
+    if math.isinf(x * x):  # X/sqrt(1+X^2) would read 0 (or nan) instead of ~1
+        raise OverflowError(f"equivalence_velocity_timeshift X^2 overflows at X = {x!r}")
     return EquivalenceResult(v=x / math.sqrt(1.0 + x * x), v_approx=x, v_leading=x)
 
 

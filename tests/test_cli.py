@@ -532,6 +532,21 @@ def test_kerr_overflowed_delay_is_not_blamed_on_the_ergosphere(capsys):
                    "delay_full = inf is not finite\n")
 
 
+@pytest.mark.parametrize("overrides,message", [
+    # used to exit 2 with a bare "float division by zero"
+    (["point.r=1e-100", "turntable.radius=1e-250"],
+     "equivalence_velocity_timeshift r_s a/(r r_t) overflows at r = 1e-100, r_t = 1e-250"),
+    # used to exit 0 printing v_equiv = 0 c beside v_equiv_leading = 5.51e+291 c
+    (["turntable.radius=1e-300"],
+     "equivalence_velocity_timeshift X^2 overflows at X = 5.510204081632653e+291"),
+], ids=["underflowed-radii", "overflowed-square"])
+def test_timeshift_equivalence_names_its_float_failures(capsys, overrides, message):
+    argv = ["equivalence", "--method", "timeshift"]
+    code, out, err = run_cli(capsys, *argv, *(arg for item in overrides for arg in ("--set", item)))
+    assert code == 2 and out == ""
+    assert err == f"ERROR overflow: these inputs leave the float64 range: {message}\n"
+
+
 @pytest.mark.parametrize("overrides,key", [
     (["turntable.velocity=0.5", "turntable.radius=1e-310"],
      "turntable.velocity * c / turntable.radius"),
@@ -648,9 +663,10 @@ def _in_range_values(key):
 
 OVERRIDES = st.sampled_from(FLOAT_KEYS).flatmap(
     lambda key: st.tuples(st.just(key), _in_range_values(key)))
+FUZZ_COMMANDS = COMMANDS + ("equivalence --method timeshift",)
 
 
-@given(st.sampled_from(COMMANDS), st.lists(OVERRIDES, min_size=1, max_size=3))
+@given(st.sampled_from(FUZZ_COMMANDS), st.lists(OVERRIDES, min_size=1, max_size=3))
 @example("kerr", [("point.r", -1.0)])  # out of range, each kind: > 0,
 @example("equivalence", [("source.a", -1.0)])  # >= a bound,
 @example("fiber", [("turntable.velocity", 1.5)])  # and a speed
@@ -671,9 +687,13 @@ OVERRIDES = st.sampled_from(FLOAT_KEYS).flatmap(
 @example("feasibility", [("turntable.radius", 1e-200), ("light.sigma", 1e-200)])  # r sigma is 0
 @example("fiber", [("medium.k0", 1.135303464291261e-250)])  # dn/dk = -A/k^2 divides by 0
 @example("equivalence", [("point.r", 1e-310), ("source.mass", 1e-310)])  # same, r_s a / r^2
+@example("equivalence --method timeshift",
+         [("point.r", 1e-100), ("turntable.radius", 1e-250)])  # same, r_s a / (r r_t)
+@example("equivalence --method timeshift", [("turntable.radius", 1e-300)])  # v = 0 at exit 0
 @settings(max_examples=200, deadline=None)
 def test_random_overrides_give_finite_values_or_a_named_error(command, overrides):
-    argv = [command] + [arg for key, value in overrides for arg in ("--set", f"{key}={value!r}")]
+    argv = command.split() + [arg for key, value in overrides
+                              for arg in ("--set", f"{key}={value!r}")]
     if command in ("fig1", "fig3"):
         argv += ["--points", "5"]
     out, err = io.StringIO(), io.StringIO()

@@ -88,6 +88,20 @@ def test_min_velocity_names_an_underflowed_radius_times_width():
         turntable.min_velocity_for_visibility(1e-200, 1e-200)
 
 
+def test_timeshift_names_an_underflowed_radius_product():
+    # r r_t = 1e-350 is 0 in float64; r_s a / 0 used to raise a bare ZeroDivisionError
+    with pytest.raises(OverflowError, match=r"^equivalence_velocity_timeshift r_s a/\(r r_t\) "
+                                            r"overflows at r = 1e-100, r_t = 1e-250$"):
+        turntable.equivalence_velocity_timeshift(EARTH, 1e-100, 1e-250)
+
+
+@pytest.mark.parametrize("metric_time", [False, True])
+def test_timeshift_names_an_overflowed_square(metric_time):
+    # X ~ 5.5e291: X * X is inf, so X/sqrt(1 + X^2) used to return v = 0
+    with pytest.raises(OverflowError, match=r"^equivalence_velocity_timeshift X\^2 overflows"):
+        turntable.equivalence_velocity_timeshift(EARTH, 6.37e6, 1e-300, metric_time=metric_time)
+
+
 # --- structure and invariants ------------------------------------------------
 
 @given(speeds, st.floats(1e-3, 1e3), st.floats(1.0, 1e7))
