@@ -283,10 +283,11 @@ def fock_oracle_hom(packet: Wavepacket, delta_t: float, bins: int = 1024) -> flo
     Builds the post-beamsplitter state by explicit mode-operator
     bookkeeping on a ``bins``-point grid and sums coincidence amplitudes
     pairwise — an O(bins^2) route independent of the characteristic-
-    function formulas it is used to test.
+    function formulas it is used to test.  It sums only the coincidence
+    total, through ``_kernels.hom_coincidence_probability``; the bunching
+    total is summed on its own by the ``fock-unitarity`` check.
     """
     from . import _kernels
 
     omegas, weights = fock_grid(packet, bins)
-    p_coinc, _ = _kernels.hom_pair_probabilities(weights, omegas, delta_t)
-    return p_coinc
+    return _kernels.hom_coincidence_probability(weights, omegas, delta_t)

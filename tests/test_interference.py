@@ -145,7 +145,7 @@ def test_numpy_kernel_matches_explicit_loops(bins, delta_t):
     # cannot match.
     omegas, weights = fock_grid(PACKET, bins)
     amp, phase = np.sqrt(0.5 * weights), np.exp(-1j * omegas * delta_t)
-    blocked = _kernels._pair_sums_numpy(amp, phase)
+    blocked = _kernels._pair_sums_numpy(amp, phase, bunching=True)
     loops = _kernels._pair_sums_loops(amp, phase)
     assert blocked[0] == pytest.approx(loops[0], rel=1e-12)
     assert blocked[1] == pytest.approx(loops[1], rel=1e-12)
@@ -164,24 +164,45 @@ def test_numpy_kernel_peak_allocation():
     assert peak <= 32 * 2**20
 
 
+def test_fock_oracle_peak_allocation():
+    # The oracle sums the coincidence total alone: its temporaries are two
+    # 256 x 1792 complex blocks at M = 2048 (14 MiB), not three.
+    tracemalloc.start()
+    try:
+        fock_oracle_hom(PACKET, 3.0e-4, bins=2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
 def test_numpy_kernel_reuses_its_blocks_exactly():
     # Within a call, blocks of different shapes share the same buffers; sizes
     # below, at and past one block, called out of order, must give the same
     # bits every time and agree with a row-by-row sum that uses no blocks.
-    delta_t = 3.0e-4
+    # The coincidence-only path (two buffers) must give the coincidence bits
+    # of the path that also sums bunching (three buffers).
+    delays = (0.0, -3.0e-4, *np.random.default_rng(7).uniform(-1.0e-3, 1.0e-3, 2))
     inputs = {}
-    for bins in (2, 257, 300, 2048):
+    for bins in (2, 255, 256, 257, 300, 1024, 2048):
         omegas, weights = fock_grid(PACKET, bins)
-        inputs[bins] = np.sqrt(weights), np.exp(-1j * omegas * delta_t)
-    first = {bins: _kernels._pair_sums_numpy(*inputs[bins]) for bins in inputs}
-    for bins in (300, 2, 2048, 257, 300, 2):
-        assert _kernels._pair_sums_numpy(*inputs[bins]) == first[bins]
-    for bins, (amp, phase) in inputs.items():
+        for delta_t in delays:
+            inputs[bins, delta_t] = weights, omegas, delta_t
+    amplitudes = {key: (np.sqrt(w), np.exp(-1j * o * dt)) for key, (w, o, dt) in inputs.items()}
+    first = {key: _kernels._pair_sums_numpy(*amplitudes[key], bunching=True) for key in inputs}
+    for bins in (300, 2, 2048, 257, 1024, 255, 300, 256, 2):
+        for delta_t in delays[::-1] if bins % 2 else delays:
+            key = bins, delta_t
+            assert _kernels._pair_sums_numpy(*amplitudes[key], bunching=False) == first[key][:1]
+            assert _kernels._pair_sums_numpy(*amplitudes[key], bunching=True) == first[key]
+            assert _kernels.hom_coincidence_probability(*inputs[key]) == first[key][0]
+            assert _kernels.hom_pair_probabilities(*inputs[key]) == first[key]
+    for key, (amp, phase) in amplitudes.items():
         ap = amp * phase
-        coinc = sum(float(np.sum(np.abs(amp[x] * ap - ap[x] * amp) ** 2)) for x in range(bins))
-        bunch = sum(float(np.sum(np.abs(amp[x] * ap + ap[x] * amp) ** 2)) for x in range(bins))
-        assert first[bins][0] == pytest.approx(0.25 * coinc, rel=1e-12, abs=1e-300)
-        assert first[bins][1] == pytest.approx(0.25 * bunch, rel=1e-12)
+        coinc = sum(float(np.sum(np.abs(amp[x] * ap - ap[x] * amp) ** 2)) for x in range(key[0]))
+        bunch = sum(float(np.sum(np.abs(amp[x] * ap + ap[x] * amp) ** 2)) for x in range(key[0]))
+        assert first[key][0] == pytest.approx(0.25 * coinc, rel=1e-12, abs=1e-300), key
+        assert first[key][1] == pytest.approx(0.25 * bunch, rel=1e-12), key
 
 
 @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=32),

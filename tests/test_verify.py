@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from framedrag import cli, fiber, kerr, reference
+from framedrag import _kernels, cli, fiber, interference, kerr, reference
 
 
 def test_all_checks_pass():
@@ -42,6 +42,29 @@ def test_beta_dependence_is_caught():
         return real * (1.0 + 1.0e6 * abs(coeffs.beta_sum))
 
     assert not reference.check_dispersion_cancellation(coincidence_fn=leaky).passed
+
+
+def test_bunching_is_summed_on_its_own(monkeypatch, capsys):
+    # Only the bunching total is off: fock-unitarity, which reads it, must
+    # fail, and the oracle, which sums coincidence alone, must not move.
+    # A p_b derived as 1 - p_c would hide the error.
+    packet = interference.Wavepacket.gaussian(2.0e6, 3.5e3)
+    oracle = interference.fock_oracle_hom(packet, 2.0e-4)
+    pair_sums = _kernels._pair_sums_numpy
+
+    def skewed(amp, phase, *, bunching):
+        totals = pair_sums(amp, phase, bunching=bunching)
+        return (totals[0], totals[1] + 1.0e-9) if bunching else totals
+
+    monkeypatch.setattr(_kernels, "_pair_sums_numpy", skewed)
+    assert interference.fock_oracle_hom(packet, 2.0e-4) == oracle
+    assert not reference.check_fock_unitarity().passed
+    assert reference.check_fock_vs_quadrature().passed
+    assert cli.main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert re.search(r"^FAIL fock-unitarity: max 1\.000e-09 ", out, re.M)
+    assert re.search(r"^PASS fock-vs-quadrature:", out, re.M)
+    assert "verify: 16/17 checks passed" in out
 
 
 def test_nan_deviation_fails_the_check():
