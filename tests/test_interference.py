@@ -1,7 +1,9 @@
 """Photon interference: closed forms vs quadrature vs the pairwise Fock oracle."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,33 +178,47 @@ def test_fock_oracle_peak_allocation():
     assert peak <= 16 * 2**20
 
 
+def _recorded_kernel_bits():
+    # float.hex of both entry points, recorded from the kernel that wrote
+    # C_xy and C_yx into two full block buffers, on two Gaussian packets at
+    # sizes straddling the 256-row block and the chunk boundaries, and at
+    # delays 0, 1/sigma, -3e-4 and two seeded random values.
+    with open(Path(__file__).with_name("fock_kernel_bits.json")) as f:
+        data = json.load(f)
+    packets = {name: Wavepacket.gaussian(*map(float.fromhex, pair))
+               for name, pair in data["packets"].items()}
+    cases = {}
+    for name, bins, delta_t, p_c, p_b in data["cases"]:
+        omegas, weights = fock_grid(packets[name], bins)
+        cases[name, bins, float.fromhex(delta_t)] = (
+            (weights, omegas, float.fromhex(delta_t)), (float.fromhex(p_c), float.fromhex(p_b)))
+    return cases
+
+
 def test_numpy_kernel_reuses_its_blocks_exactly():
     # Within a call, blocks of different shapes share the same buffers; sizes
-    # below, at and past one block, called out of order, must give the same
-    # bits every time and agree with a row-by-row sum that uses no blocks.
-    # The coincidence-only path (two buffers) must give the coincidence bits
-    # of the path that also sums bunching (three buffers).
-    delays = (0.0, -3.0e-4, *np.random.default_rng(7).uniform(-1.0e-3, 1.0e-3, 2))
-    inputs = {}
-    for bins in (2, 255, 256, 257, 300, 1024, 2048):
-        omegas, weights = fock_grid(PACKET, bins)
-        for delta_t in delays:
-            inputs[bins, delta_t] = weights, omegas, delta_t
-    amplitudes = {key: (np.sqrt(w), np.exp(-1j * o * dt)) for key, (w, o, dt) in inputs.items()}
-    first = {key: _kernels._pair_sums_numpy(*amplitudes[key], bunching=True) for key in inputs}
-    for bins in (300, 2, 2048, 257, 1024, 255, 300, 256, 2):
-        for delta_t in delays[::-1] if bins % 2 else delays:
-            key = bins, delta_t
-            assert _kernels._pair_sums_numpy(*amplitudes[key], bunching=False) == first[key][:1]
-            assert _kernels._pair_sums_numpy(*amplitudes[key], bunching=True) == first[key]
-            assert _kernels.hom_coincidence_probability(*inputs[key]) == first[key][0]
-            assert _kernels.hom_pair_probabilities(*inputs[key]) == first[key]
+    # below, at and past one block, called in shuffled order, must give the
+    # recorded bits every time and agree with a sum over 100-row strips that
+    # shares nothing with the kernel's block layout.  The coincidence-only
+    # path must give the coincidence bits of the path that also sums bunching.
+    cases = _recorded_kernel_bits()
+    amplitudes = {key: (np.sqrt(w), np.exp(-1j * o * dt)) for key, ((w, o, dt), _) in cases.items()}
+    keys = list(cases)
+    for key in (keys[i] for i in np.random.default_rng(7).permutation(len(keys))):
+        inputs, recorded = cases[key]
+        assert _kernels._pair_sums_numpy(*amplitudes[key], bunching=False) == recorded[:1], key
+        assert _kernels._pair_sums_numpy(*amplitudes[key], bunching=True) == recorded, key
+        assert _kernels.hom_coincidence_probability(*inputs) == recorded[0], key
+        assert _kernels.hom_pair_probabilities(*inputs) == recorded, key
     for key, (amp, phase) in amplitudes.items():
         ap = amp * phase
-        coinc = sum(float(np.sum(np.abs(amp[x] * ap - ap[x] * amp) ** 2)) for x in range(key[0]))
-        bunch = sum(float(np.sum(np.abs(amp[x] * ap + ap[x] * amp) ** 2)) for x in range(key[0]))
-        assert first[key][0] == pytest.approx(0.25 * coinc, rel=1e-12, abs=1e-300), key
-        assert first[key][1] == pytest.approx(0.25 * bunch, rel=1e-12), key
+        coinc = bunch = 0.0
+        for x in range(0, key[1], 100):
+            c_xy, c_yx = amp[x:x + 100, None] * ap, ap[x:x + 100, None] * amp
+            coinc += float(np.sum(np.abs(c_xy - c_yx) ** 2))
+            bunch += float(np.sum(np.abs(c_xy + c_yx) ** 2))
+        assert cases[key][1][0] == pytest.approx(0.25 * coinc, rel=1e-12, abs=1e-300), key
+        assert cases[key][1][1] == pytest.approx(0.25 * bunch, rel=1e-12), key
 
 
 @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=32),
