@@ -4,22 +4,25 @@ The discretized coincidence oracle scales as O(M^2) in the number of
 spectral bins — the only genuinely hot loop in the package.  The kernel
 is blocked numpy: it streams blocks of 256 rows, so its temporaries take
 O(256 M) memory rather than several M x M complex arrays, and reduces
-each block with ``np.dot``.  The block temporaries are allocated once
-per call, at the largest block size, and every block is written into
-them in place.  It performs explicit pairwise mode-operator
-bookkeeping; it may not collapse the sum into the factorized
-characteristic-function shortcut used by the closed forms the oracle
-exists to check.  ``_pair_sums_loops`` is the plain-Python reference
-the tests compare it with.
+each block with one ``np.dot``.  Each block is filled a chunk of rows at
+a time: C_xy is written straight into the block buffer, C_yx into a
+512 KiB scratch, and subtracted while both are still in cache, so every
+block is written once.  The buffers are allocated once per call, at the
+largest block size, and every block reuses them.  It performs explicit
+pairwise mode-operator bookkeeping; it may not collapse the sum into the
+factorized characteristic-function shortcut used by the closed forms the
+oracle exists to check.  ``_pair_sums_loops`` is the plain-Python
+reference the tests compare it with.
 
 It has two entry points on one block loop.  ``hom_pair_probabilities``
-sums the coincidence and bunching totals independently, in three
+sums the coincidence and bunching totals independently, in two block
 buffers, for the unitarity check.  ``hom_coincidence_probability`` sums
-the coincidence total alone, in two buffers and with one ``np.dot`` per
-block, for the oracle; its value is the other's p_coincidence bit for
-bit.  Median of 6 fresh-process runs (one BLAS thread, 2-vCPU x86-64
-host, Python 3.11, numpy 2.4), both totals -> coincidence only:
-7.8 -> 6.3 ms at M = 1024 and 26.6 -> 16.8 ms at M = 2048.
+the coincidence total alone, in one block buffer, for the oracle; its
+value is the other's p_coincidence bit for bit.  In-process medians
+(one BLAS thread, 2-vCPU x86-64 host with AVX-512, Python 3.11, numpy
+2.4), coincidence only: 3.1 ms at M = 1024 and 12.4 ms at M = 2048
+(3.6 and 14.2 ms when C_xy and C_yx each filled a whole block buffer);
+both totals: 6.2 and 22.0 ms (6.9 and 24.5 ms).
 
 numpy loads with this module, so its callers import it inside the
 functions that run the oracle: importing the package loads no numpy.
@@ -33,10 +36,15 @@ import numpy as np
 
 __all__ = ["hom_coincidence_probability", "hom_pair_probabilities"]
 
-# Rows per block of the numpy pair sum: its temporaries are three
+# Rows per block of the numpy pair sum: its temporaries are two
 # _BLOCK_ROWS x (M - _BLOCK_ROWS) complex buffers with the bunching total
-# (about 22 MB at M = 2048) and two without it (about 15 MB), never M x M.
+# (14 MiB at M = 2048) and one without it (7 MiB), never M x M.
 _BLOCK_ROWS = 256
+# Complex values in the scratch that holds C_yx for one chunk of a block's
+# rows (512 KiB, inside a 2 MiB per-core L2 cache), so each chunk's
+# products are subtracted while still in cache; a chunk is
+# max(1, _SCRATCH // block width) rows.
+_SCRATCH = 2**15
 
 
 def _pair_sums_loops(amp: np.ndarray, phase: np.ndarray) -> tuple[float, float]:
@@ -60,23 +68,28 @@ def _pair_sums_loops(amp: np.ndarray, phase: np.ndarray) -> tuple[float, float]:
 
 
 def _block_sums(amp: np.ndarray, ap: np.ndarray, rows: slice, cols: slice,
-                buffers: tuple[np.ndarray, ...]) -> tuple[float, ...]:
-    # Sum of |C_xy - C_yx|^2 over x in rows, y in cols, and with three
-    # buffers also the sum of |C_xy + C_yx|^2, each reduced by np.dot over
-    # the float64 view of the complex block.  The block is written into the
-    # leading part of the flat buffers; with two, C_xy - C_yx overwrites C_xy.
-    shape = (rows.stop - rows.start, cols.stop - cols.start)
-    c_xy, c_yx, *spare = (buf[:shape[0] * shape[1]].reshape(shape) for buf in buffers)
-    np.multiply(amp[rows, None], ap[cols], out=c_xy)
-    np.multiply(ap[rows, None], amp[cols], out=c_yx)
-    if not spare:
+                buffers: tuple[np.ndarray, ...], scratch: np.ndarray) -> tuple[float, ...]:
+    # Sum of |C_xy - C_yx|^2 over x in rows, y in cols, and with two buffers
+    # also the sum of |C_xy + C_yx|^2, each reduced by one np.dot over the
+    # float64 view of the whole block.  The block fills the leading part of
+    # the flat buffers a chunk of rows at a time: C_xy goes straight into the
+    # chunk's rows of the first, C_yx into the scratch; the second takes
+    # C_xy + C_yx, then C_xy - C_yx overwrites C_xy.
+    n_rows, n_cols = rows.stop - rows.start, cols.stop - cols.start
+    blocks = [buf[:n_rows * n_cols].reshape(n_rows, n_cols) for buf in buffers]
+    step = max(1, _SCRATCH // n_cols)
+    for first in range(0, n_rows, step):
+        last = min(first + step, n_rows)
+        x = slice(rows.start + first, rows.start + last)
+        c_xy = blocks[0][first:last]
+        c_yx = scratch[:(last - first) * n_cols].reshape(last - first, n_cols)
+        np.multiply(amp[x, None], ap[cols], out=c_xy)
+        np.multiply(ap[x, None], amp[cols], out=c_yx)
+        if len(blocks) == 2:
+            np.add(c_xy, c_yx, out=blocks[1][first:last])
         c_xy -= c_yx
-        d = c_xy.view(np.float64).ravel()
-        return (float(np.dot(d, d)),)
-    d = np.subtract(c_xy, c_yx, out=spare[0]).view(np.float64).ravel()
-    c_xy += c_yx
-    s = c_xy.view(np.float64).ravel()
-    return float(np.dot(d, d)), float(np.dot(s, s))
+    flat = (block.view(np.float64).ravel() for block in blocks)
+    return tuple(float(np.dot(v, v)) for v in flat)
 
 
 def _pair_sums_numpy(amp: np.ndarray, phase: np.ndarray, *,
@@ -84,23 +97,31 @@ def _pair_sums_numpy(amp: np.ndarray, phase: np.ndarray, *,
     # Streams blocks of _BLOCK_ROWS rows x.  The (y, x) term of either sum
     # equals the (x, y) term bit for bit: C_yx - C_xy is the exact negation
     # of C_xy - C_yx, and C_xy + C_yx commutes.  So each row block adds its
-    # diagonal block once and the block right of it twice, which counts
-    # every ordered pair once from explicitly evaluated C_xy, C_yx products.
-    # The largest block is the first row block's right part (or the
-    # diagonal block, when M < 2 _BLOCK_ROWS); every block reuses its buffers.
-    # Returns (p_coincidence, p_bunching) from three buffers when
-    # ``bunching``, else (p_coincidence,) from two: the same coincidence bits.
+    # diagonal block once and the block right of it (none for the last row
+    # block) twice, which counts every ordered pair once from explicitly
+    # evaluated C_xy, C_yx products.  The largest block is the first row
+    # block's right part (or the diagonal block, when M < 2 _BLOCK_ROWS);
+    # every block reuses its buffers and the scratch.  Returns
+    # (p_coincidence, p_bunching) from two block buffers when ``bunching``,
+    # else (p_coincidence,) from one: the same coincidence bits.
     ap = amp * phase
     m = amp.shape[0]
     rows_max = min(_BLOCK_ROWS, m)
     size = rows_max * max(rows_max, m - rows_max)
-    buffers = tuple(np.empty(size, np.complex128) for _ in range(3 if bunching else 2))
-    totals = [0.0] * (len(buffers) - 1)
+    # One allocation holds the block buffers and the scratch.  As separate
+    # arrays of 160 KB each at M = 100, glibc handed them back to the OS
+    # and faulted them in again on every call (109 minor faults per call).
+    n_buffers = 2 if bunching else 1
+    work = np.empty(n_buffers * size + min(size, max(_SCRATCH, m)), np.complex128)
+    buffers = tuple(work[k * size:(k + 1) * size] for k in range(n_buffers))
+    scratch = work[n_buffers * size:]
+    totals = [0.0] * n_buffers
     for start in range(0, m, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, m)
         rows = slice(start, stop)
-        diag = _block_sums(amp, ap, rows, rows, buffers)
-        right = _block_sums(amp, ap, rows, slice(stop, m), buffers)
+        diag = _block_sums(amp, ap, rows, rows, buffers, scratch)
+        right = (_block_sums(amp, ap, rows, slice(stop, m), buffers, scratch)
+                 if stop < m else (0.0,) * n_buffers)
         for k in range(len(totals)):
             totals[k] += diag[k] + 2.0 * right[k]
     return tuple(0.25 * total for total in totals)
@@ -113,6 +134,13 @@ def _amplitudes(weights: np.ndarray, omegas: np.ndarray,
     omegas = np.ascontiguousarray(omegas, dtype=np.float64)
     if weights.shape != omegas.shape or weights.ndim != 1 or weights.size == 0:
         raise ValueError("weights and omegas must be matching non-empty 1-d arrays")
+    bad = ~(np.isfinite(weights) & (weights >= 0.0))
+    if bad.any():
+        raise ValueError("weights must be finite and non-negative, "
+                         f"got {float(weights[bad][0])!r}")
+    bad = ~np.isfinite(omegas)
+    if bad.any():
+        raise ValueError(f"omegas must be finite, got {float(omegas[bad][0])!r}")
     if not math.isfinite(delta_t):
         raise ValueError(f"delta_t must be finite, got {delta_t!r}")
     return np.sqrt(weights), np.exp(-1j * omegas * delta_t)
@@ -127,6 +155,8 @@ def hom_pair_probabilities(weights: np.ndarray, omegas: np.ndarray,
     (p_coincidence, p_bunching), each summed on its own over every pair;
     the two sum to 1 up to rounding, which the ``fock-unitarity`` check
     tests.  p_coincidence is bit for bit ``hom_coincidence_probability``.
+    Raises ValueError for mismatched or empty arrays, a negative or
+    non-finite weight, a non-finite frequency or a non-finite delay.
     """
     return _pair_sums_numpy(*_amplitudes(weights, omegas, delta_t), bunching=True)
 
@@ -136,8 +166,8 @@ def hom_coincidence_probability(weights: np.ndarray, omegas: np.ndarray,
     """Coincidence probability of the discretized two-photon state.
 
     Takes the arguments of ``hom_pair_probabilities`` and returns its
-    p_coincidence bit for bit, with two block buffers instead of three
-    and no bunching sum.
+    p_coincidence bit for bit, with one block buffer instead of two and
+    no bunching sum.
     """
     (p_coinc,) = _pair_sums_numpy(*_amplitudes(weights, omegas, delta_t), bunching=False)
     return p_coinc

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -154,8 +155,9 @@ def test_numpy_kernel_matches_explicit_loops(bins, delta_t):
 
 
 def test_numpy_kernel_peak_allocation():
-    # One M x M complex array at M = 2048 is 64 MB; the blocked kernel's
-    # temporaries are three 256 x M blocks.
+    # One M x M complex array at M = 2048 is 64 MiB; the blocked kernel's
+    # temporaries are two 256 x 1792 complex blocks (14 MiB) and a 512 KiB
+    # scratch.
     omegas, weights = fock_grid(PACKET, 2048)
     tracemalloc.start()
     try:
@@ -163,19 +165,39 @@ def test_numpy_kernel_peak_allocation():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= 16 * 2**20
 
 
 def test_fock_oracle_peak_allocation():
-    # The oracle sums the coincidence total alone: its temporaries are two
-    # 256 x 1792 complex blocks at M = 2048 (14 MiB), not three.
+    # The oracle sums the coincidence total alone: its temporaries are one
+    # 256 x 1792 complex block at M = 2048 (7 MiB) and a 512 KiB scratch
+    # that holds C_yx a chunk of rows at a time.
     tracemalloc.start()
     try:
         fock_oracle_hom(PACKET, 3.0e-4, bins=2048)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 9 * 2**20
+
+
+@pytest.mark.parametrize("weights, omegas, delta_t, message", [
+    ([0.6, -0.1, 0.5], [1.0, 2.0, 3.0], 1.0, "weights must be finite and non-negative, got -0.1"),
+    ([0.5, math.inf], [1.0, 2.0], 1.0, "weights must be finite and non-negative, got inf"),
+    ([0.5, math.nan], [1.0, 2.0], 1.0, "weights must be finite and non-negative, got nan"),
+    ([0.5, 0.5], [1.0, math.nan], 1.0, "omegas must be finite, got nan"),
+    ([0.5, 0.5], [-math.inf, 2.0], 1.0, "omegas must be finite, got -inf"),
+    ([0.5, 0.5], [1.0, 2.0], math.nan, "delta_t must be finite, got nan"),
+    ([0.5, 0.5], [1.0, 2.0, 3.0], 1.0, "weights and omegas must be matching"),
+    ([], [], 1.0, "weights and omegas must be matching non-empty"),
+])
+@pytest.mark.parametrize("entry", [_kernels.hom_coincidence_probability,
+                                   _kernels.hom_pair_probabilities])
+def test_kernel_inputs_name_their_faults(entry, weights, omegas, delta_t, message):
+    # A bad weight or frequency used to come back as nan, with at most a
+    # numpy RuntimeWarning.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(np.array(weights), np.array(omegas), delta_t)
 
 
 def _recorded_kernel_bits():
