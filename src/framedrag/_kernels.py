@@ -18,11 +18,11 @@ It has two entry points on one block loop.  ``hom_pair_probabilities``
 sums the coincidence and bunching totals independently, in two block
 buffers, for the unitarity check.  ``hom_coincidence_probability`` sums
 the coincidence total alone, in one block buffer, for the oracle; its
-value is the other's p_coincidence bit for bit.  In-process medians
-(one BLAS thread, 2-vCPU x86-64 host with AVX-512, Python 3.11, numpy
-2.4), coincidence only: 3.1 ms at M = 1024 and 12.4 ms at M = 2048
-(3.6 and 14.2 ms when C_xy and C_yx each filled a whole block buffer);
-both totals: 6.2 and 22.0 ms (6.9 and 24.5 ms).
+value is the other's p_coincidence bit for bit.  Median of 6
+fresh-process runs (one BLAS thread, 2-vCPU x86-64 host with AVX-512,
+Python 3.11, numpy 2.4), coincidence only: 3.3 ms at M = 1024 and
+13.0 ms at M = 2048 (5.9 and 17.7 ms when C_xy and C_yx each filled a
+whole block buffer); both totals: 4.6 and 18.1 ms (7.9 and 26.7 ms).
 
 numpy loads with this module, so its callers import it inside the
 functions that run the oracle: importing the package loads no numpy.
@@ -108,9 +108,10 @@ def _pair_sums_numpy(amp: np.ndarray, phase: np.ndarray, *,
     m = amp.shape[0]
     rows_max = min(_BLOCK_ROWS, m)
     size = rows_max * max(rows_max, m - rows_max)
-    # One allocation holds the block buffers and the scratch.  As separate
-    # arrays of 160 KB each at M = 100, glibc handed them back to the OS
-    # and faulted them in again on every call (109 minor faults per call).
+    # One allocation holds the block buffers and the scratch (one chunk: at
+    # most max(_SCRATCH, M) values, never more than a block).  As separate
+    # arrays, glibc handed them back to the OS and faulted them in again on
+    # every call: 109 minor faults per call at M = 100.
     n_buffers = 2 if bunching else 1
     work = np.empty(n_buffers * size + min(size, max(_SCRATCH, m)), np.complex128)
     buffers = tuple(work[k * size:(k + 1) * size] for k in range(n_buffers))
@@ -122,7 +123,7 @@ def _pair_sums_numpy(amp: np.ndarray, phase: np.ndarray, *,
         diag = _block_sums(amp, ap, rows, rows, buffers, scratch)
         right = (_block_sums(amp, ap, rows, slice(stop, m), buffers, scratch)
                  if stop < m else (0.0,) * n_buffers)
-        for k in range(len(totals)):
+        for k in range(n_buffers):
             totals[k] += diag[k] + 2.0 * right[k]
     return tuple(0.25 * total for total in totals)
 
