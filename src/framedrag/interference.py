@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GuardViolation, check_at_least, check_positive
 
@@ -36,6 +37,7 @@ MAX_FOCK_BINS = 2048
 
 _QUAD_OPTS = dict(epsabs=1.0e-13, epsrel=1.0e-11, limit=500)
 _GAUSS_WINDOW = 12.0  # integration half-width in units of sigma
+_SQRT_PI = math.sqrt(math.pi)
 
 
 class SpectrumNormalizationWarning(UserWarning):
@@ -54,6 +56,10 @@ class Wavepacket:
     the grid mean and sigma is sqrt(2) times the grid standard deviation,
     matching the exp(-(omega-omega0)^2/sigma^2) width convention above
     (for which sigma is sqrt(2) times the spectral std).
+
+    A packet integrates its normalization chi(0) = integral of the density
+    once, on first use of ``_chi0``; every zero-delay transform of the
+    packet returns that value.
     """
 
     omega0: float
@@ -105,18 +111,28 @@ class Wavepacket:
         return cls(omega0=mean, sigma=width, grid_omega=omegas, grid_density=density)
 
     def density(self, omega):
-        """Spectral density at ``omega``, a float or an array (zero outside a tabulated grid).
-
-        Both paths evaluate one formula: a float stays a Python float up to
-        ``np.exp``, so ``float(density(x))`` equals the array path's element
-        for x bit for bit.
-        """
+        """Spectral density at ``omega``, a float or an array (zero outside a tabulated grid)."""
         import numpy as np
 
-        if self.grid_omega is None:
-            u = (omega - self.omega0) / self.sigma
-            return np.exp(-u * u) / (math.sqrt(math.pi) * self.sigma)
-        return np.interp(omega, self.grid_omega, self.grid_density, left=0.0, right=0.0)
+        return _density(np, self, omega)
+
+    @cached_property
+    def _chi0(self) -> float:
+        """chi(0), the density integrated over the transform's window by QUADPACK QAGS."""
+        return _centered_quad(self)
+
+
+def _density(np, packet: Wavepacket, omega):
+    """``packet.density(omega)`` with numpy passed in, so a quadrature imports it once.
+
+    Floats and arrays evaluate one formula: a float stays a Python float up
+    to ``np.exp``, so ``float(density(x))`` equals the array path's element
+    for x bit for bit.
+    """
+    if packet.grid_omega is None:
+        u = (omega - packet.omega0) / packet.sigma
+        return np.exp(-u * u) / (_SQRT_PI * packet.sigma)
+    return np.interp(omega, packet.grid_omega, packet.grid_density, left=0.0, right=0.0)
 
 
 def _trapz_weights(grid: np.ndarray) -> np.ndarray:
@@ -174,25 +190,37 @@ def single_photon_prob_gaussian(delta_phi: float, omega0: float, sigma: float, *
     return 0.5 * (1.0 + math.exp(-x * x) * math.sin(delta_phi))
 
 
-def _centered_cosine_transform(packet: Wavepacket, delta_t: float) -> float:
-    """integral of density(omega) cos((omega - omega0) dt) d omega by quadrature."""
+def _centered_quad(packet: Wavepacket, **weight) -> float:
+    """Integral of density(omega0 + u) over [-half, 0] plus [0, half] by QUADPACK.
+
+    ``weight`` is empty for plain QAGS, or ``weight="cos", wvar=dt`` for
+    QAWO's cos(u dt) weight.
+    """
+    import numpy as np
     from scipy.integrate import quad
 
-    omega0, sigma = packet.omega0, packet.sigma
+    omega0 = packet.omega0
 
     def centered(u: float) -> float:
-        return float(packet.density(omega0 + u))
+        return float(_density(np, packet, omega0 + u))
 
-    half = _GAUSS_WINDOW * sigma
+    half = _GAUSS_WINDOW * packet.sigma
     if packet.grid_omega is not None:
         half = max(half, float(packet.grid_omega[-1] - packet.grid_omega[0]))
-    if delta_t == 0.0:
-        left, _ = quad(centered, -half, 0.0, **_QUAD_OPTS)
-        right, _ = quad(centered, 0.0, half, **_QUAD_OPTS)
-        return left + right
-    left, _ = quad(centered, -half, 0.0, weight="cos", wvar=delta_t, **_QUAD_OPTS)
-    right, _ = quad(centered, 0.0, half, weight="cos", wvar=delta_t, **_QUAD_OPTS)
+    left, _ = quad(centered, -half, 0.0, **weight, **_QUAD_OPTS)
+    right, _ = quad(centered, 0.0, half, **weight, **_QUAD_OPTS)
     return left + right
+
+
+def _centered_cosine_transform(packet: Wavepacket, delta_t: float) -> float:
+    """integral of density(omega) cos((omega - omega0) dt) d omega by quadrature.
+
+    At dt = 0 this is the packet's ``_chi0``, integrated once per packet;
+    any other dt is one QAWO integral per half-window.
+    """
+    if delta_t == 0.0:
+        return packet._chi0
+    return _centered_quad(packet, weight="cos", wvar=delta_t)
 
 
 def single_photon_prob_quadrature(delta_phi: float, packet: Wavepacket) -> float:
@@ -238,8 +266,7 @@ def hom_coincidence_general(packet: Wavepacket, delta_t: float) -> float:
         # |chi(dt)| reduces to the centered cosine transform because the
         # density is even about omega0; the carrier phase drops in |.|.
         envelope = _centered_cosine_transform(packet, delta_t)
-        chi0 = _centered_cosine_transform(packet, 0.0)
-        ratio2 = (envelope / chi0) ** 2
+        ratio2 = (envelope / packet._chi0) ** 2
     return 0.5 - 0.5 * ratio2
 
 

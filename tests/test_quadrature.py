@@ -14,6 +14,9 @@ Re-record, only at a commit whose outputs are known to be right:
     PYTHONPATH=src python tests/test_quadrature.py
 """
 
+import collections
+import contextlib
+import io
 import json
 import math
 import sys
@@ -21,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from framedrag import fiber, interference, reference
+from framedrag import cli, fiber, interference, reference
 from framedrag.interference import Wavepacket
 
 BITS = Path(__file__).with_name("quadrature_bits.json")
@@ -76,6 +80,72 @@ def test_packet_quadratures_keep_their_recorded_bits(name):
 def test_downconverted_keeps_its_recorded_bits():
     rows = DATA["downconverted"]["rows"]
     assert [_downconverted(row) for row in rows] == [row[6] for row in rows]
+
+
+# --- the work the quadratures do ------------------------------------------------
+
+def _count_quad_calls(monkeypatch, argv: list[str]) -> collections.Counter:
+    """scipy.integrate.quad calls of one CLI run, by integrand module and weight."""
+    calls = collections.Counter()
+    real = scipy.integrate.quad
+
+    def counting(func, a, b, *args, **kwargs):
+        calls[func.__module__, kwargs.get("weight")] += 1
+        return real(func, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return calls
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # chi(0) is integrated once per packet: three packets in verify, one in hom
+    (["verify"], {("framedrag.interference", None): 6, ("framedrag.interference", "cos"): 52,
+                  ("framedrag.fiber", None): 64, ("framedrag.reference", None): 3}),
+    (["hom"], {("framedrag.interference", None): 2, ("framedrag.interference", "cos"): 4}),
+])
+def test_quadrature_call_counts(monkeypatch, argv, expected):
+    assert _count_quad_calls(monkeypatch, argv) == expected
+
+
+def test_downconverted_integrand_runs_once_per_abs_w_and_is_even(monkeypatch):
+    # The memo of downconverted_coincidence returns f(w) for -w, which is right
+    # only while the integrand is even bit for bit: a term odd in w (a cubic
+    # phase, or a reordered product) must fail here.
+    body = fiber._downconverted_integrand
+    real = scipy.integrate.quad
+    nodes, evaluated = [], []
+
+    def recording(func, a, b, *args, **kwargs):
+        def node(w):
+            nodes.append(w)
+            return func(w)
+        return real(node, a, b, *args, **kwargs)
+
+    def counted(w, *params):
+        evaluated.append((w, params))
+        return body(w, *params)
+
+    monkeypatch.setattr(scipy.integrate, "quad", recording)
+    monkeypatch.setattr(fiber, "_downconverted_integrand", counted)
+    calls = [(float.fromhex(row[0]), fiber.DispersionCoefficients(*_floats(row[1:5])),
+              float.fromhex(row[5])) for row in DATA["downconverted"]["rows"]]
+    model = fiber.RefractiveModel.fused_silica()
+    calls.append((4000.0 * math.pi, fiber.dispersion_coefficients(model, model.k0, 4.19e-9),
+                  1.0e4))
+    mirrored = 0
+    for sigma, coeffs, length in calls:
+        nodes.clear()
+        evaluated.clear()
+        fiber.downconverted_coincidence(sigma, coeffs, length)
+        assert sorted(abs(w) for w, _ in evaluated) == sorted({abs(w) for w in nodes})
+        params = evaluated[0][1]
+        assert all(p == params for _, p in evaluated)
+        for w in nodes:
+            assert body(-w, *params).hex() == body(w, *params).hex(), (w, params)
+        mirrored += len(nodes) - len(evaluated)
+    assert mirrored > 0
 
 
 # --- recording ------------------------------------------------------------------
