@@ -68,28 +68,34 @@ def _pair_sums_loops(amp: np.ndarray, phase: np.ndarray) -> tuple[float, float]:
 
 
 def _block_sums(amp: np.ndarray, ap: np.ndarray, rows: slice, cols: slice,
-                buffers: tuple[np.ndarray, ...], scratch: np.ndarray) -> tuple[float, ...]:
-    # Sum of |C_xy - C_yx|^2 over x in rows, y in cols, and with two buffers
-    # also the sum of |C_xy + C_yx|^2, each reduced by one np.dot over the
-    # float64 view of the whole block.  The block fills the leading part of
-    # the flat buffers a chunk of rows at a time: C_xy goes straight into the
-    # chunk's rows of the first, C_yx into the scratch; the second takes
-    # C_xy + C_yx, then C_xy - C_yx overwrites C_xy.
+                buffers: np.ndarray) -> tuple[float, ...]:
+    # Sum of |C_xy - C_yx|^2 over x in rows, y in cols, and with two sum
+    # buffers before the scratch also the sum of |C_xy + C_yx|^2.  The block
+    # is formed a chunk of rows at a time and each chunk is reduced while it
+    # is in cache: C_xy goes into the first buffer, C_yx into the scratch;
+    # the second, if any, takes C_xy + C_yx, then C_xy - C_yx overwrites
+    # C_xy.  einsum sums each float64 view in its own loop, never a BLAS
+    # call, so the bits do not depend on the BLAS library or its thread
+    # count; chunk totals are added in row order.
     n_rows, n_cols = rows.stop - rows.start, cols.stop - cols.start
-    blocks = [buf[:n_rows * n_cols].reshape(n_rows, n_cols) for buf in buffers]
+    *sums, scratch = buffers
+    totals = [0.0] * len(sums)
     step = max(1, _SCRATCH // n_cols)
     for first in range(0, n_rows, step):
         last = min(first + step, n_rows)
         x = slice(rows.start + first, rows.start + last)
-        c_xy = blocks[0][first:last]
-        c_yx = scratch[:(last - first) * n_cols].reshape(last - first, n_cols)
+        size = (last - first) * n_cols
+        c_xy = sums[0][:size].reshape(last - first, n_cols)
+        c_yx = scratch[:size].reshape(last - first, n_cols)
         np.multiply(amp[x, None], ap[cols], out=c_xy)
         np.multiply(ap[x, None], amp[cols], out=c_yx)
-        if len(blocks) == 2:
-            np.add(c_xy, c_yx, out=blocks[1][first:last])
+        if len(sums) == 2:
+            np.add(c_xy, c_yx, out=sums[1][:size].reshape(last - first, n_cols))
         c_xy -= c_yx
-    flat = (block.view(np.float64).ravel() for block in blocks)
-    return tuple(float(np.dot(v, v)) for v in flat)
+        for k, buf in enumerate(sums):
+            v = buf[:size].view(np.float64)
+            totals[k] += float(np.einsum("i,i->", v, v))
+    return tuple(totals)
 
 
 def _pair_sums_numpy(amp: np.ndarray, phase: np.ndarray, *,
@@ -99,31 +105,27 @@ def _pair_sums_numpy(amp: np.ndarray, phase: np.ndarray, *,
     # of C_xy - C_yx, and C_xy + C_yx commutes.  So each row block adds its
     # diagonal block once and the block right of it (none for the last row
     # block) twice, which counts every ordered pair once from explicitly
-    # evaluated C_xy, C_yx products.  The largest block is the first row
-    # block's right part (or the diagonal block, when M < 2 _BLOCK_ROWS);
-    # every block reuses its buffers and the scratch.  Returns
-    # (p_coincidence, p_bunching) from two block buffers when ``bunching``,
-    # else (p_coincidence,) from one: the same coincidence bits.
+    # evaluated C_xy, C_yx products.  Returns (p_coincidence, p_bunching)
+    # when ``bunching``, else (p_coincidence,): the same coincidence bits.
     ap = amp * phase
     m = amp.shape[0]
     rows_max = min(_BLOCK_ROWS, m)
-    size = rows_max * max(rows_max, m - rows_max)
-    # One allocation holds the block buffers and the scratch (one chunk: at
-    # most max(_SCRATCH, M) values, never more than a block).  As separate
+    # Every chunk holds at most max(_SCRATCH, M) values (one row when a row
+    # is wider than the scratch), never more than the largest block.  One
+    # allocation holds a chunk buffer per sum and the scratch: as separate
     # arrays, glibc handed them back to the OS and faulted them in again on
-    # every call: 109 minor faults per call at M = 100.
-    n_buffers = 2 if bunching else 1
-    work = np.empty(n_buffers * size + min(size, max(_SCRATCH, m)), np.complex128)
-    buffers = tuple(work[k * size:(k + 1) * size] for k in range(n_buffers))
-    scratch = work[n_buffers * size:]
-    totals = [0.0] * n_buffers
+    # every call (109 minor faults per call at M = 100).
+    chunk = min(rows_max * max(rows_max, m - rows_max), max(_SCRATCH, m))
+    n_sums = 2 if bunching else 1
+    buffers = np.empty((n_sums + 1, chunk), np.complex128)
+    totals = [0.0] * n_sums
     for start in range(0, m, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, m)
         rows = slice(start, stop)
-        diag = _block_sums(amp, ap, rows, rows, buffers, scratch)
-        right = (_block_sums(amp, ap, rows, slice(stop, m), buffers, scratch)
-                 if stop < m else (0.0,) * n_buffers)
-        for k in range(n_buffers):
+        diag = _block_sums(amp, ap, rows, rows, buffers)
+        right = (_block_sums(amp, ap, rows, slice(stop, m), buffers)
+                 if stop < m else (0.0,) * n_sums)
+        for k in range(n_sums):
             totals[k] += diag[k] + 2.0 * right[k]
     return tuple(0.25 * total for total in totals)
 

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -29,6 +32,7 @@ from framedrag.interference import (
 )
 
 PACKET = Wavepacket.gaussian(2.0e6, 3.5e3)
+KERNEL_BITS = Path(__file__).with_name("fock_kernel_bits.json")
 
 
 # --- single-photon routes ----------------------------------------------------
@@ -154,31 +158,34 @@ def test_numpy_kernel_matches_explicit_loops(bins, delta_t):
     assert blocked[1] == pytest.approx(loops[1], rel=1e-12)
 
 
-def test_numpy_kernel_peak_allocation():
-    # One M x M complex array at M = 2048 is 64 MiB; the blocked kernel's
-    # temporaries are two 256 x 1792 complex blocks (14 MiB) and a 512 KiB
-    # scratch.
-    omegas, weights = fock_grid(PACKET, 2048)
+def _peak_allocation(call, *args) -> int:
     tracemalloc.start()
     try:
-        _kernels.hom_pair_probabilities(weights, omegas, 3.0e-4)
-        _, peak = tracemalloc.get_traced_memory()
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+
+
+def test_numpy_kernel_peak_allocation():
+    # One M x M complex array at M = 2048 is 64 MiB; the kernel's temporaries
+    # are a chunk buffer per total and a scratch, each max(2**15, M) complex
+    # values (512 KiB up to M = 2**15), so they do not grow with M.
+    peaks = {}
+    for bins in (512, 2048):
+        omegas, weights = fock_grid(PACKET, bins)
+        peaks[bins] = _peak_allocation(_kernels.hom_pair_probabilities, weights, omegas, 3.0e-4)
+    assert peaks[2048] <= 3 * 2**20
+    assert peaks[2048] - peaks[512] < 2**19
 
 
 def test_fock_oracle_peak_allocation():
     # The oracle sums the coincidence total alone: its temporaries are one
-    # 256 x 1792 complex block at M = 2048 (7 MiB) and a 512 KiB scratch
-    # that holds C_yx a chunk of rows at a time.
-    tracemalloc.start()
-    try:
-        fock_oracle_hom(PACKET, 3.0e-4, bins=2048)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9 * 2**20
+    # 512 KiB chunk buffer and the 512 KiB scratch at any M up to 2**15.
+    peaks = {bins: _peak_allocation(fock_oracle_hom, PACKET, 3.0e-4, bins)
+             for bins in (512, 2048)}
+    assert peaks[2048] <= 2 * 2**20
+    assert peaks[2048] - peaks[512] < 2**19
 
 
 @pytest.mark.parametrize("weights, omegas, delta_t, message", [
@@ -201,12 +208,11 @@ def test_kernel_inputs_name_their_faults(entry, weights, omegas, delta_t, messag
 
 
 def _recorded_kernel_bits():
-    # float.hex of both entry points, recorded from the kernel that wrote
-    # C_xy and C_yx into two full block buffers, on two Gaussian packets at
-    # sizes straddling the 256-row block and the chunk boundaries, and at
-    # delays 0, 1/sigma, -3e-4 and two seeded random values.
-    with open(Path(__file__).with_name("fock_kernel_bits.json")) as f:
-        data = json.load(f)
+    # float.hex of both entry points, recorded from the kernel that reduces
+    # each chunk of rows in cache, on two Gaussian packets at sizes
+    # straddling the 256-row block and the chunk boundaries, and at delays 0,
+    # 1/sigma, -3e-4 and two seeded random values.
+    data = json.loads(KERNEL_BITS.read_text(encoding="utf-8"))
     packets = {name: Wavepacket.gaussian(*map(float.fromhex, pair))
                for name, pair in data["packets"].items()}
     cases = {}
@@ -217,12 +223,13 @@ def _recorded_kernel_bits():
     return cases
 
 
-def test_numpy_kernel_reuses_its_blocks_exactly():
-    # Within a call, blocks of different shapes share the same buffers; sizes
+def test_numpy_kernel_keeps_its_recorded_bits_in_any_call_order():
+    # Within a call, chunks of different shapes share the same buffers; sizes
     # below, at and past one block, called in shuffled order, must give the
     # recorded bits every time and agree with a sum over 100-row strips that
-    # shares nothing with the kernel's block layout.  The coincidence-only
-    # path must give the coincidence bits of the path that also sums bunching.
+    # shares nothing with the kernel's block or chunk layout.  The
+    # coincidence-only path must give the coincidence bits of the path that
+    # also sums bunching.
     cases = _recorded_kernel_bits()
     amplitudes = {key: (np.sqrt(w), np.exp(-1j * o * dt)) for key, ((w, o, dt), _) in cases.items()}
     keys = list(cases)
@@ -241,6 +248,36 @@ def test_numpy_kernel_reuses_its_blocks_exactly():
             bunch += float(np.sum(np.abs(c_xy + c_yx) ** 2))
         assert cases[key][1][0] == pytest.approx(0.25 * coinc, rel=1e-12, abs=1e-300), key
         assert cases[key][1][1] == pytest.approx(0.25 * bunch, rel=1e-12), key
+
+
+# Prints float.hex of both entry points on the grids the CLI and verify use.
+THREAD_PROBE = """
+from framedrag import _kernels, interference
+packet = interference.Wavepacket.gaussian(2.0e6, 3.5e3)
+for bins in (512, 1024, 2048):
+    omegas, weights = interference.fock_grid(packet, bins)
+    for delta_t in (0.0, 3.0e-4, -1.0e-4):
+        p_c, p_b = _kernels.hom_pair_probabilities(weights, omegas, delta_t)
+        print(bins, delta_t, p_c.hex(), p_b.hex(),
+              _kernels.hom_coincidence_probability(weights, omegas, delta_t).hex())
+"""
+
+
+def test_fock_bits_do_not_depend_on_the_blas_thread_count():
+    # Each run is a fresh process, since BLAS reads its thread count at load.
+    # A BLAS dot in the reduction sums in an order set by its thread count.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(threads, *argv):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "OMP_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, *argv], capture_output=True, env=env,
+                              check=True).stdout
+
+    for argv in (["-c", THREAD_PROBE],
+                 ["-m", "framedrag.cli", "hom", "--set", "interference.bins=2048"]):
+        assert run(1, *argv) == run(2, *argv), argv
 
 
 @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=32),
@@ -375,3 +412,22 @@ def test_load_spectrum_rejects_bad_columns(tmp_path):
     path.write_text("1.0 2.0 3.0\n4.0 5.0 6.0\n")
     with pytest.raises(ValueError, match="two columns"):
         load_spectrum(path)
+
+
+if __name__ == "__main__":
+    # Re-records p_coincidence and p_bunching of fock_kernel_bits.json for
+    # its recorded inputs, only at a commit whose kernel is known to be right:
+    #     PYTHONPATH=src python tests/test_interference.py
+    data = json.loads(KERNEL_BITS.read_text(encoding="utf-8"))
+    packets = {name: Wavepacket.gaussian(*map(float.fromhex, pair))
+               for name, pair in data["packets"].items()}
+    rows = []
+    for name, bins, delta_t, *_ in data["cases"]:
+        omegas, weights = fock_grid(packets[name], bins)
+        p_c, p_b = _kernels.hom_pair_probabilities(weights, omegas, float.fromhex(delta_t))
+        rows.append(json.dumps([name, bins, delta_t, p_c.hex(), p_b.hex()]))
+    with open(KERNEL_BITS, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(f'{{\n  "packets": {json.dumps(data["packets"])},\n'
+                     f'  "columns": {json.dumps(data["columns"])},\n'
+                     '  "cases": [\n    ' + ",\n    ".join(rows) + "\n  ]\n}\n")
+    print(f"{KERNEL_BITS}: {len(rows)} cases")
