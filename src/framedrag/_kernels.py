@@ -2,27 +2,29 @@
 
 The discretized coincidence oracle scales as O(M^2) in the number of
 spectral bins — the only genuinely hot loop in the package.  The kernel
-is blocked numpy: it streams blocks of 256 rows, so its temporaries take
-O(256 M) memory rather than several M x M complex arrays, and reduces
-each block with one ``np.dot``.  Each block is filled a chunk of rows at
-a time: C_xy is written straight into the block buffer, C_yx into a
-512 KiB scratch, and subtracted while both are still in cache, so every
-block is written once.  The buffers are allocated once per call, at the
-largest block size, and every block reuses them.  It performs explicit
-pairwise mode-operator bookkeeping; it may not collapse the sum into the
+is numpy: it walks blocks of 256 rows and forms each block a chunk of
+rows at a time, C_xy into a 512 KiB chunk buffer and C_yx into a
+512 KiB scratch, then subtracts them and sums |C_xy - C_yx|^2 over the
+chunk while both are still in cache.  So its temporaries are a few
+chunk-sized buffers whatever M is, never a block or an M x M array.
+The buffers are allocated once per call and every chunk reuses them.
+Each chunk is reduced by ``np.einsum``'s own loop, not by BLAS, and the
+chunk totals are added in a fixed order, so the bits do not depend on
+the BLAS library or its thread count.  It performs explicit pairwise
+mode-operator bookkeeping; it may not collapse the sum into the
 factorized characteristic-function shortcut used by the closed forms the
 oracle exists to check.  ``_pair_sums_loops`` is the plain-Python
 reference the tests compare it with.
 
 It has two entry points on one block loop.  ``hom_pair_probabilities``
-sums the coincidence and bunching totals independently, in two block
+sums the coincidence and bunching totals independently, in two chunk
 buffers, for the unitarity check.  ``hom_coincidence_probability`` sums
-the coincidence total alone, in one block buffer, for the oracle; its
+the coincidence total alone, in one chunk buffer, for the oracle; its
 value is the other's p_coincidence bit for bit.  Median of 6
 fresh-process runs (one BLAS thread, 2-vCPU x86-64 host with AVX-512,
-Python 3.11, numpy 2.4), coincidence only: 3.3 ms at M = 1024 and
-13.0 ms at M = 2048 (5.9 and 17.7 ms when C_xy and C_yx each filled a
-whole block buffer); both totals: 4.6 and 18.1 ms (7.9 and 26.7 ms).
+Python 3.11, numpy 2.4), coincidence only: 2.7 ms at M = 1024 and
+9.7 ms at M = 2048 (2.7 and 10.0 ms when each block was reduced by one
+BLAS ``np.dot``); both totals: 4.1 and 15.3 ms (4.2 and 14.0 ms).
 
 numpy loads with this module, so its callers import it inside the
 functions that run the oracle: importing the package loads no numpy.
@@ -36,14 +38,13 @@ import numpy as np
 
 __all__ = ["hom_coincidence_probability", "hom_pair_probabilities"]
 
-# Rows per block of the numpy pair sum: its temporaries are two
-# _BLOCK_ROWS x (M - _BLOCK_ROWS) complex buffers with the bunching total
-# (14 MiB at M = 2048) and one without it (7 MiB), never M x M.
+# Rows per block of the numpy pair sum: each row block adds its diagonal
+# block once and the block right of it twice.
 _BLOCK_ROWS = 256
-# Complex values in the scratch that holds C_yx for one chunk of a block's
-# rows (512 KiB, inside a 2 MiB per-core L2 cache), so each chunk's
-# products are subtracted while still in cache; a chunk is
-# max(1, _SCRATCH // block width) rows.
+# Complex values in each chunk buffer and the scratch (512 KiB, inside a
+# 2 MiB per-core L2 cache), so each chunk's products are subtracted and
+# reduced while still in cache; a chunk is max(1, _SCRATCH // block width)
+# rows.
 _SCRATCH = 2**15
 
 
@@ -169,7 +170,7 @@ def hom_coincidence_probability(weights: np.ndarray, omegas: np.ndarray,
     """Coincidence probability of the discretized two-photon state.
 
     Takes the arguments of ``hom_pair_probabilities`` and returns its
-    p_coincidence bit for bit, with one block buffer instead of two and
+    p_coincidence bit for bit, with one chunk buffer instead of two and
     no bunching sum.
     """
     (p_coinc,) = _pair_sums_numpy(*_amplitudes(weights, omegas, delta_t), bunching=False)
