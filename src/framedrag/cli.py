@@ -10,9 +10,11 @@ violation or float64 overflow, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import warnings
+from collections.abc import Callable
 from pathlib import Path
 
 from . import fiber, interference, kerr, reference, turntable
@@ -48,15 +50,17 @@ def _near(value: float, target: float, rel: float = 0.01) -> bool:
 class RunReport:
     """Accumulates input echoes, output lines, and warnings for one run.
 
-    A figure sets ``table`` to ``(header, columns)``; ``write`` then streams
-    that table instead of the text report, with the warnings on stderr.
+    A figure sets ``table`` to ``(header, rows, block)``, where
+    ``block(start, stop)`` returns the columns of rows [start, stop).  ``write``
+    then streams that table instead of the text report, with the warnings on
+    stderr, so the rows are computed during the write, one block at a time.
     """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
         self._warnings: list[str] = []
         self._rows: list[tuple[str, float]] = []
-        self.table: tuple[str, list] | None = None
+        self.table: tuple[str, int, Callable[[int, int], list]] | None = None
 
     def echo_inputs(self, scenario: Scenario) -> None:
         for key, value in sorted(scenario.values.items()):
@@ -83,43 +87,49 @@ class RunReport:
         return "\n".join(["name,value"] + rows) + "\n"
 
     def write(self, csv: Path | None) -> None:
-        """Text report to stdout and its CSV to ``csv``; or the table to ``csv`` or stdout."""
-        if self.table is None:
-            sys.stdout.write(self.render())
-            if csv is not None:
-                _write_text(csv, self.to_csv())
-            return
-        for line in self._warnings:
-            sys.stderr.write(line + "\n")
-        if csv is None:
-            _write_table(sys.stdout, *self.table)
-        else:
-            with open(csv, "w", newline="\n") as handle:
-                _write_table(handle, *self.table)
+        """Text report to stdout and its CSV to ``csv``; or the table to ``csv`` or stdout.
+
+        ``csv`` is opened before the first byte goes out, so a path that cannot
+        be opened leaves stdout empty.
+        """
+        with _open_csv(csv) as handle:
+            if self.table is None:
+                sys.stdout.write(self.render())
+                if handle is not None:
+                    handle.write(self.to_csv())
+                return
+            for line in self._warnings:
+                sys.stderr.write(line + "\n")
+            _write_table(sys.stdout if handle is None else handle, *self.table)
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+def _open_csv(path: Path | None):
+    """``path`` opened for LF-terminated writing, or a null context for no path."""
+    if path is None:
+        return contextlib.nullcontext()
+    return open(path, "w", newline="\n")
 
 
-def _write_table(stream, header: str, columns: list) -> None:
-    """Write equal-length float columns as %.17g CSV rows, _CSV_BLOCK rows per write.
+def _write_table(stream, header: str, rows: int,
+                 block: Callable[[int, int], list]) -> None:
+    """Write ``rows`` rows of float columns as %.17g CSV, _CSV_BLOCK rows per write.
 
-    Columns are numpy arrays or lists.  Each block is sliced to Python floats
-    (``tolist`` for arrays), interleaved row-major and formatted by one ``%``
-    over a repeated row template, so no whole-table text is ever held.
+    ``block(start, stop)`` returns the equal-length columns (numpy arrays or
+    lists) of rows [start, stop); it is called once per block, so a figure
+    whose rows are computed there never holds more than one block of them.
+    Each block is turned into Python floats (``tolist`` for arrays),
+    interleaved row-major and formatted by one ``%`` over a repeated row
+    template, so no whole-table text is ever held either.
     """
     stream.write(header + "\n")
-    width = len(columns)
+    width = header.count(",") + 1
     row = ",".join(["%.17g"] * width) + "\n"
-    for start in range(0, len(columns[0]), _CSV_BLOCK):
-        parts = [col[start:start + _CSV_BLOCK] for col in columns]
-        rows = len(parts[0])
-        cells = [None] * (width * rows)
-        for j, part in enumerate(parts):
+    for start in range(0, rows, _CSV_BLOCK):
+        stop = min(start + _CSV_BLOCK, rows)
+        cells = [None] * (width * (stop - start))
+        for j, part in enumerate(block(start, stop)):
             cells[j::width] = part.tolist() if hasattr(part, "tolist") else part
-        stream.write(row * rows % tuple(cells))
+        stream.write(row * (stop - start) % tuple(cells))
 
 
 def _guard_phase_resolution(phase: float) -> None:
@@ -461,8 +471,9 @@ def cmd_fig1(scenario: Scenario, args: argparse.Namespace) -> RunReport:
             "target-value-unreproduced", "quoted visibility >= 0.99 at "
             f"r/r_s = 100 is not reproduced: these inputs give {vis_probe:.4g} "
             f"(would need sigma <= {sigma_needed:.4g} rad/m).")
-    report.table = ("r_over_rs,phase_rad,visibility",
-                    [scan.r_over_rs, scan.phase_rad, scan.visibility])
+    columns = (scan.r_over_rs, scan.phase_rad, scan.visibility)
+    report.table = ("r_over_rs,phase_rad,visibility", len(scan.r_over_rs),
+                    lambda start, stop: [column[start:stop] for column in columns])
     return report
 
 
@@ -473,17 +484,24 @@ def cmd_fig3(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     length = scenario.require("arms.length")
     omega_max = scenario.require("sweep.omega_max")
     points = scenario.require("sweep.points")
-    check_speed(abs(omega_max) * radius / _C,  # the fastest rim of the sweep
-                "|sweep.omega_max| * turntable.radius / c")
     if not math.isfinite(omega_max * (points - 1)):  # the largest product the rows form
         raise OverflowError(f"sweep.omega_max * (sweep.points - 1) overflows: {omega_max!r}")
-    omegas, probs = [], []
-    for i in range(points):
-        omega_rot = omega_max * i / (points - 1) + 0.0  # -0.0 -> 0.0 on the first row
-        delta_t = turntable.fiber_loop_delay(omega_rot * radius / _C, length)
-        omegas.append(omega_rot)
-        probs.append(interference.hom_coincidence_gaussian(sigma, delta_t))
-    report.table = ("omega_rad_s,coincidence_probability", [omegas, probs])
+    # the fastest rim the rows form: the last row's rate, which can round one
+    # ulp past omega_max and so reach v = 1 where omega_max itself does not
+    omega_last = omega_max * (points - 1) / (points - 1)
+    check_speed(abs(omega_last) * radius / _C, "|sweep.omega_max| * turntable.radius / c")
+    check_positive(sigma, "light.sigma")
+    # past these checks a row can neither raise nor warn: an infinite delay
+    # gives 0.5, and hom_coincidence_gaussian catches the (sigma dt)^2 overflow
+
+    def block(start: int, stop: int) -> list:
+        omegas = [omega_max * i / (points - 1) + 0.0  # -0.0 -> 0.0 on the first row
+                  for i in range(start, stop)]
+        return [omegas, [interference.hom_coincidence_gaussian(
+            sigma, turntable.fiber_loop_delay(omega_rot * radius / _C, length))
+            for omega_rot in omegas]]
+
+    report.table = ("omega_rad_s,coincidence_probability", points, block)
     return report
 
 
@@ -576,9 +594,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             text, ok = _run_verify()
-            sys.stdout.write(text)
-            if args.csv is not None:
-                _write_text(args.csv, text)
+            with _open_csv(args.csv) as handle:  # before stdout: a bad path prints nothing
+                sys.stdout.write(text)
+                if handle is not None:
+                    handle.write(text)
             return 0 if ok else 3
 
         config = load_config(args.config) if args.config is not None else {}
@@ -589,7 +608,9 @@ def main(argv: list[str] | None = None) -> int:
         scenario = Scenario.assemble(defaults, config, overrides)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = runner(scenario, args)  # validates everything before any output
+            # validates everything before any output; a figure's rows are
+            # computed during report.write, outside this block, and cannot warn
+            report = runner(scenario, args)
         _report_warnings(report, caught)
         report.write(args.csv)
         return 0
