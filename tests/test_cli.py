@@ -399,7 +399,7 @@ def test_figure_table_is_byte_exact_across_block_edges(capsys, tmp_path, command
 
 
 def _export_peak(command, points, path):
-    """The tracemalloc peak of one ``--csv`` export, imports already warm."""
+    """The tracemalloc peak of one ``--csv`` export, after a 64-point run warms the imports."""
     assert cli.main([command, "--points", "64", "--csv", str(path)]) == 0
     tracemalloc.start()
     try:
