@@ -579,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     hom = sub.add_parser("hom", parents=[guarded],
                          help="single-photon and two-photon interference for a delay")
     hom.add_argument("--spectrum", type=Path, metavar="PATH",
-                     help="two-column omega,density file replacing the Gaussian")
+                     help="file of two whitespace-separated columns, omega and density, "
+                          "replacing the Gaussian")
     sub.add_parser("fiber", parents=[common],
                    help="moving dispersive fiber loop: velocities, phases, dip shifts")
     sub.add_parser("verify", parents=[csv],
@@ -622,6 +623,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ArithmeticError as exc:
         sys.stderr.write(f"ERROR overflow: these inputs leave the float64 range: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write(f"ERROR memory: these inputs need more memory than is free: "
+                         f"{str(exc) or 'allocation failed'}\n")
         return 2
 
 

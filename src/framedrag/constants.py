@@ -9,8 +9,8 @@ velocities as fractions of c.  SI masses and spins enter only through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import frozen
 from .errors import check_at_least, check_positive
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class PhysicalConstants:
     """SI constants used for unit conversion.
 
@@ -58,7 +58,7 @@ def spin_parameter(mass: float, angular_momentum: float) -> float:
     return angular_momentum / (mass * CONSTANTS.c)
 
 
-@dataclass(frozen=True)
+@frozen
 class GravSource:
     """A rotating gravitating body, described by r_s and a (both metres).
 

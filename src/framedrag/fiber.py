@@ -23,8 +23,8 @@ v is a fraction of c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import frozen
 from .constants import CONSTANTS
 from .errors import check_at_least, check_positive, check_speed, direction_sign
 from .interference import _QUAD_OPTS
@@ -48,7 +48,7 @@ __all__ = [
     "downconverted_coincidence_closed",
 ]
 
-@dataclass(frozen=True)
+@frozen
 class RefractiveModel:
     """Index model n(k) = A/k + B with analytic derivatives.
 
@@ -99,7 +99,7 @@ class RefractiveModel:
         return 2.0 * self.A / (k * k * k)
 
 
-@dataclass(frozen=True)
+@frozen
 class FiberArms:
     """Two fiber arms of nominal length L and mismatch delta_L on a platform at speed v."""
 
@@ -170,7 +170,7 @@ def gvd_moving(model: RefractiveModel, k: float, v: float, direction: str) -> fl
         raise OverflowError(f"gvd_moving overflows in the powers of n -+ v = {denom!r}") from None
 
 
-@dataclass(frozen=True)
+@frozen
 class DispersionCoefficients:
     """Direction-resolved expansion coefficients of k(omega) about the carrier.
 
@@ -220,7 +220,7 @@ def fiber_phase_difference(arms: FiberArms, omega0: float) -> float:
     return sagnac_phase(omega0, arms.length, arms.v) + mismatch
 
 
-@dataclass(frozen=True)
+@frozen
 class DipShift:
     """Coincidence-dip delay bookkeeping after control-arm calibration."""
 

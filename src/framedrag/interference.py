@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import frozen
 from .errors import GuardViolation, check_at_least, check_positive
 
 __all__ = [
@@ -44,7 +44,7 @@ class SpectrumNormalizationWarning(UserWarning):
     """A tabulated spectrum needed renormalization on construction."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Wavepacket:
     """Photon spectral density |f(omega)|^2.
 
@@ -81,7 +81,7 @@ class Wavepacket:
     def tabulated(cls, omegas, density) -> "Wavepacket":
         import numpy as np
 
-        omegas = np.asarray(omegas, dtype=float)
+        omegas = np.array(omegas, dtype=float)  # a copy: the grid is frozen below
         density = np.asarray(density, dtype=float)
         if omegas.ndim != 1 or omegas.shape != density.shape or omegas.size < 2:
             raise ValueError("tabulated spectrum needs matching 1-d arrays of length >= 2")

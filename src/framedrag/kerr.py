@@ -22,8 +22,8 @@ both branches are dragged forward and come out positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import frozen
 from .constants import GravSource
 from .errors import GuardViolation, check_at_least, check_positive, direction_sign
 
@@ -47,7 +47,7 @@ __all__ = [
 WEAK_FIELD_GUARD = 0.01
 
 
-@dataclass(frozen=True)
+@frozen
 class MetricComponents:
     """(1+1) metric components (g_tt, g_tphi, g_phiphi).
 
@@ -60,7 +60,7 @@ class MetricComponents:
     g_phiphi: float
 
 
-@dataclass(frozen=True)
+@frozen
 class KerrPoint:
     """An equatorial field point at Boyer-Lindquist radius ``r`` (metres).
 
@@ -272,7 +272,7 @@ def horizon_radius(source: GravSource) -> float:
         raise OverflowError(f"horizon_radius a^2 overflows at a = {source.a!r}") from None
 
 
-@dataclass(frozen=True)
+@frozen
 class ScanResult:
     """Radial scan output: r', accumulated phase difference, visibility."""
 

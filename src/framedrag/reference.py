@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
 from . import fiber, interference, kerr, turntable
+from ._record import frozen
 from .constants import CONSTANTS, GravSource
 from .interference import Wavepacket
 
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
     """One check: its worst deviation, the bound it must not exceed, and the margin line."""
 
@@ -61,7 +61,7 @@ class CheckResult:
         return self.worst <= self.bound  # a NaN worst fails
 
 
-@dataclass(frozen=True)
+@frozen
 class UnreproducedTarget:
     name: str
     quoted: str

@@ -16,9 +16,9 @@ default never appears in it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from collections.abc import Callable, Mapping
 
+from ._record import frozen
 from .constants import CONSTANTS, GravSource
 from .errors import check_at_least, check_positive, check_speed
 from .fiber import FiberArms, RefractiveModel
@@ -43,7 +43,7 @@ __all__ = [
 # Every config key: its value type, the unit its input echo prints, and its
 # range -- an errors.py check, a lower bound for check_at_least, or None for
 # any finite value.  Scenario.assemble checks every value against it by key.
-PARAMETERS: Mapping[str, tuple[type, str | None, Callable[[Any, str], None] | float | None]] = {
+PARAMETERS: Mapping[str, tuple[type, str | None, Callable[[float, str], None] | float | None]] = {
     "source.rs": (float, "m", 0.0),
     "source.a": (float, "m", 0.0),
     "source.mass": (float, "kg", check_positive),
@@ -70,7 +70,7 @@ PARAMETERS: Mapping[str, tuple[type, str | None, Callable[[Any, str], None] | fl
 }
 
 
-def _check_value(key: str, value: Any, shown: Any) -> float | int:
+def _check_value(key: str, value: object, shown: object) -> float | int:
     """``value`` as the type of ``key`` if finite and in range; parse errors quote ``shown``."""
     kind, _, allowed = PARAMETERS[key]
     if not isinstance(value, int if kind is int else (int, float)):
@@ -192,7 +192,7 @@ _ALTERNATIVES = (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class Scenario:
     """The resolved parameters of one run: each key once, checked by its range."""
 
@@ -217,7 +217,7 @@ class Scenario:
                 raise ValueError(f"unknown config key {key!r}")
         return cls({key: _check_value(key, val, val) for key, val in values.items()})
 
-    def get(self, key: str, fallback: Any = None) -> Any:
+    def get(self, key: str, fallback: float | int | None = None) -> float | int | None:
         return self.values.get(key, fallback)
 
     def require(self, key: str) -> float | int:

@@ -16,8 +16,8 @@ All velocities are fractions of c; lengths are metres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import frozen
 from .constants import CONSTANTS, GravSource
 from .errors import check_at_least, check_positive, check_speed
 from .kerr import KerrPoint, MetricComponents
@@ -44,7 +44,7 @@ __all__ = [
 STANDARD_GRAVITY = 9.81  # m/s^2, as used for the quoted g-force figures
 
 
-@dataclass(frozen=True)
+@frozen
 class TurntableConfig:
     """A spinning platform carrying the interferometer.
 
@@ -78,7 +78,7 @@ class TurntableConfig:
         return cls(r_t=r_t, v=v, omega_rot=omega_rot, windings=windings)
 
 
-@dataclass(frozen=True)
+@frozen
 class EquivalenceResult:
     """Turntable velocity matching a rotating-mass scenario.
 

@@ -750,6 +750,22 @@ def test_random_overrides_give_finite_values_or_a_named_error(command, overrides
         assert match.group(1).removeprefix(OVERFLOW_PREFIX) not in BARE_MESSAGES, (argv, err)
 
 
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 745. GiB for an array", "Unable to allocate 745. GiB for an array"),
+    ("", "allocation failed"),
+], ids=["numpy-message", "bare"])
+def test_out_of_memory_is_one_named_error_line(capsys, monkeypatch, message, shown):
+    # a huge --points used to end in numpy's bare _ArrayMemoryError traceback, exit 1;
+    # the real allocation is never made here, since an overcommitting host pages it in
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(kerr, "blackhole_scan", no_memory)
+    code, out, err = run_cli(capsys, "fig1", "--points", "100000000000")
+    assert code == 2 and out == ""
+    assert err == f"ERROR memory: these inputs need more memory than is free: {shown}\n"
+
+
 def test_verify_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli.reference, "run_all_checks", lambda: [
         CheckResult(name="broken-check", worst=1.0, bound=0.0, detail="max 1 vs bound 0")])

@@ -1,7 +1,13 @@
-"""Import budget: the closed-form commands never load numpy, scipy or mpmath.
+"""Import budget of the command line, each case in a fresh interpreter.
 
-Each case runs in a fresh interpreter, because the test session itself
-has long since imported all three.
+``kerr``, ``equivalence``, ``feasibility`` and ``fig3`` load none of
+numpy, scipy and mpmath; ``fig1`` loads numpy for its radial grid and
+``verify`` loads all three.  Nor do those four closed-form commands, or
+a rejected input, load the pure-Python modules ``dataclasses``,
+``inspect`` and ``typing``: that check runs under ``python -S``, since a
+``.pth`` file of an installed package may import ``typing`` at startup.
+The cases need fresh interpreters because the test session itself has
+long since imported all of these.
 """
 
 import json
@@ -13,28 +19,32 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("numpy", "scipy", "mpmath")
+STDLIB_HEAVY = ("dataclasses", "inspect", "typing")
 
-# Prints [exit code or null, sorted heavy top-level packages in sys.modules].
+# Prints [exit code or null, sorted watched top-level packages in sys.modules].
 PROBE = """
 import contextlib, io, json, sys
 from framedrag import cli
-argv = json.loads(sys.argv[1])
+argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 code = None
 if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-heavy = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy", "mpmath"})
-print(json.dumps([code, heavy]))
+loaded = sorted({name.split(".")[0] for name in sys.modules} & set(watched))
+print(json.dumps([code, loaded]))
 """
 
 
-def _probe(argv):
+def _probe(argv, *flags, watched=HEAVY):
+    """Run ``argv`` through ``cli.main`` in ``python <flags>``; its code and loaded ``watched``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, json.dumps(argv),
+                           json.dumps(watched)],
                           capture_output=True, text=True, env=env, check=True)
-    code, heavy = json.loads(proc.stdout.splitlines()[-1])
-    return code, heavy
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, loaded
 
 
 def test_importing_cli_loads_no_heavy_module():
@@ -70,3 +80,17 @@ def test_figure_csv_export_loads_no_further_heavy_module(argv, tmp_path):
 
 def test_verify_still_loads_scipy_and_mpmath():
     assert _probe(["verify"]) == (0, ["mpmath", "numpy", "scipy"])
+
+
+@pytest.mark.parametrize("argv,code", [
+    (None, None),
+    (["kerr"], 0),
+    (["equivalence", "--method", "metric"], 0),
+    (["equivalence", "--method", "timeshift"], 0),
+    (["feasibility"], 0),
+    (["fig3"], 0),
+    (["fig3", "--points", "0"], 2),
+])
+def test_closed_form_commands_load_no_stdlib_heavy_module(argv, code):
+    # -S: without site, no .pth file of the host's packages imports typing first
+    assert _probe(argv, "-S", watched=STDLIB_HEAVY) == (code, [])

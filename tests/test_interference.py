@@ -339,6 +339,17 @@ def test_tabulated_density_vanishes_off_grid():
     assert two.density(4.0e6) == 0.0
 
 
+def test_tabulated_packet_copies_the_callers_arrays():
+    # the packet freezes its own grid; the caller's array stays theirs and writeable
+    grid, density = np.linspace(1.0e6, 3.0e6, 9), np.full(9, 5.0e-7)
+    tab = Wavepacket.tabulated(grid, density)
+    assert grid.flags.writeable and density.flags.writeable
+    assert tab.grid_omega is not grid and tab.grid_density is not density
+    assert not tab.grid_omega.flags.writeable and not tab.grid_density.flags.writeable
+    grid[0] = 1.5e6
+    assert tab.grid_omega[0] == 1.0e6
+
+
 def test_gaussian_density_float_and_array_agree_bit_for_bit():
     # quad calls density with a Python float, the Fock grid with an array
     xs = np.linspace(PACKET.omega0 - 12.0 * PACKET.sigma,
