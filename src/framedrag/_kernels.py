@@ -2,12 +2,12 @@
 
 The discretized coincidence oracle scales as O(M^2) in the number of
 spectral bins — the only genuinely hot loop in the package.  The kernel
-is numpy: it walks blocks of 256 rows and forms each block a chunk of
-rows at a time, C_xy into a 512 KiB chunk buffer and C_yx into a
-512 KiB scratch, then subtracts them and sums |C_xy - C_yx|^2 over the
-chunk while both are still in cache.  So its temporaries are a few
-chunk-sized buffers whatever M is, never a block or an M x M array.
-The buffers are allocated once per call and every chunk reuses them.
+is numpy: one pass walks blocks of 256 rows and forms each block a chunk
+of rows at a time, C_xy into a 512 KiB chunk buffer and C_yx into a
+512 KiB scratch, then combines them and sums |C_xy - C_yx|^2 (or
+|C_xy + C_yx|^2) over the chunk while both are still in cache.  So its
+temporaries are the two chunk-sized buffers whatever M is, never a block
+or an M x M array, allocated once per pass and reused by every chunk.
 Each chunk is reduced by ``np.einsum``'s own loop, not by BLAS, and the
 chunk totals are added in a fixed order, so the bits do not depend on
 the BLAS library or its thread count.  It performs explicit pairwise
@@ -16,15 +16,12 @@ factorized characteristic-function shortcut used by the closed forms the
 oracle exists to check.  ``_pair_sums_loops`` is the plain-Python
 reference the tests compare it with.
 
-It has two entry points on one block loop.  ``hom_pair_probabilities``
-sums the coincidence and bunching totals independently, in two chunk
-buffers, for the unitarity check.  ``hom_coincidence_probability`` sums
-the coincidence total alone, in one chunk buffer, for the oracle; its
-value is the other's p_coincidence bit for bit.  Median of 6
-fresh-process runs (one BLAS thread, 2-vCPU x86-64 host with AVX-512,
-Python 3.11, numpy 2.4), coincidence only: 2.7 ms at M = 1024 and
-9.7 ms at M = 2048 (2.7 and 10.0 ms when each block was reduced by one
-BLAS ``np.dot``); both totals: 4.1 and 15.3 ms (4.2 and 14.0 ms).
+``hom_coincidence_probability`` runs the coincidence pass alone, for the
+oracle.  ``hom_pair_probabilities`` runs it and then the bunching pass,
+for the unitarity check, so its p_coincidence is the other's bit for
+bit.  Median of 6 fresh-process runs (one BLAS thread, 2-vCPU x86-64
+host with AVX-512, Python 3.11, numpy 2.4): one pass takes 2.1 ms at
+M = 1024 and 7.7 ms at M = 2048; both take 4.2 and 15.8 ms.
 
 numpy loads with this module, so its callers import it inside the
 functions that run the oracle: importing the package loads no numpy.
@@ -41,10 +38,10 @@ __all__ = ["hom_coincidence_probability", "hom_pair_probabilities"]
 # Rows per block of the numpy pair sum: each row block adds its diagonal
 # block once and the block right of it twice.
 _BLOCK_ROWS = 256
-# Complex values in each chunk buffer and the scratch (512 KiB, inside a
-# 2 MiB per-core L2 cache), so each chunk's products are subtracted and
-# reduced while still in cache; a chunk is max(1, _SCRATCH // block width)
-# rows.
+# Complex values in the chunk buffer and in the scratch (512 KiB each,
+# inside a 2 MiB per-core L2 cache), so each chunk's products are combined
+# and reduced while still in cache; a chunk is max(1, _SCRATCH // block
+# width) rows.
 _SCRATCH = 2**15
 
 
@@ -68,67 +65,49 @@ def _pair_sums_loops(amp: np.ndarray, phase: np.ndarray) -> tuple[float, float]:
     return 0.25 * coinc, 0.25 * bunch
 
 
-def _block_sums(amp: np.ndarray, ap: np.ndarray, rows: slice, cols: slice,
-                buffers: np.ndarray) -> tuple[float, ...]:
-    # Sum of |C_xy - C_yx|^2 over x in rows, y in cols, and with two sum
-    # buffers before the scratch also the sum of |C_xy + C_yx|^2.  The block
-    # is formed a chunk of rows at a time and each chunk is reduced while it
-    # is in cache: C_xy goes into the first buffer, C_yx into the scratch;
-    # the second, if any, takes C_xy + C_yx, then C_xy - C_yx overwrites
-    # C_xy.  einsum sums each float64 view in its own loop, never a BLAS
-    # call, so the bits do not depend on the BLAS library or its thread
-    # count; chunk totals are added in row order.
-    n_rows, n_cols = rows.stop - rows.start, cols.stop - cols.start
-    *sums, scratch = buffers
-    totals = [0.0] * len(sums)
-    step = max(1, _SCRATCH // n_cols)
-    for first in range(0, n_rows, step):
-        last = min(first + step, n_rows)
-        x = slice(rows.start + first, rows.start + last)
-        size = (last - first) * n_cols
-        c_xy = sums[0][:size].reshape(last - first, n_cols)
-        c_yx = scratch[:size].reshape(last - first, n_cols)
-        np.multiply(amp[x, None], ap[cols], out=c_xy)
-        np.multiply(ap[x, None], amp[cols], out=c_yx)
-        if len(sums) == 2:
-            np.add(c_xy, c_yx, out=sums[1][:size].reshape(last - first, n_cols))
-        c_xy -= c_yx
-        for k, buf in enumerate(sums):
-            v = buf[:size].view(np.float64)
-            totals[k] += float(np.einsum("i,i->", v, v))
-    return tuple(totals)
-
-
-def _pair_sums_numpy(amp: np.ndarray, phase: np.ndarray, *,
-                     bunching: bool) -> tuple[float, ...]:
-    # Streams blocks of _BLOCK_ROWS rows x.  The (y, x) term of either sum
-    # equals the (x, y) term bit for bit: C_yx - C_xy is the exact negation
-    # of C_xy - C_yx, and C_xy + C_yx commutes.  So each row block adds its
-    # diagonal block once and the block right of it (none for the last row
-    # block) twice, which counts every ordered pair once from explicitly
-    # evaluated C_xy, C_yx products.  Returns (p_coincidence, p_bunching)
-    # when ``bunching``, else (p_coincidence,): the same coincidence bits.
+def _pair_sum(amp: np.ndarray, phase: np.ndarray, combine: np.ufunc) -> float:
+    # 1/4 sum over ordered pairs of |combine(C_xy, C_yx)|^2: np.subtract
+    # gives the coincidence total, np.add the bunching total.  The (y, x)
+    # term equals the (x, y) term bit for bit (C_yx - C_xy is the exact
+    # negation of C_xy - C_yx, and C_xy + C_yx commutes), so each block of
+    # _BLOCK_ROWS rows adds its diagonal block once and the block right of
+    # it (none for the last row block) twice, which counts every ordered
+    # pair once from explicitly evaluated C_xy, C_yx products.  A block is
+    # formed a chunk of rows at a time and each chunk is reduced while it is
+    # in cache: C_xy goes into the chunk buffer, C_yx into the scratch, and
+    # combine(C_xy, C_yx) overwrites C_xy.  einsum sums each float64 view in
+    # its own loop, never a BLAS call; chunk totals are added in row order.
     ap = amp * phase
     m = amp.shape[0]
     rows_max = min(_BLOCK_ROWS, m)
     # Every chunk holds at most max(_SCRATCH, M) values (one row when a row
     # is wider than the scratch), never more than the largest block.  One
-    # allocation holds a chunk buffer per sum and the scratch: as separate
-    # arrays, glibc handed them back to the OS and faulted them in again on
-    # every call (109 minor faults per call at M = 100).
+    # allocation holds the chunk buffer and the scratch: as separate arrays,
+    # glibc handed them back to the OS and faulted them in again on every
+    # call (109 minor faults per call at M = 100).
     chunk = min(rows_max * max(rows_max, m - rows_max), max(_SCRATCH, m))
-    n_sums = 2 if bunching else 1
-    buffers = np.empty((n_sums + 1, chunk), np.complex128)
-    totals = [0.0] * n_sums
+    buffer, scratch = np.empty((2, chunk), np.complex128)
+    total = 0.0
     for start in range(0, m, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, m)
-        rows = slice(start, stop)
-        diag = _block_sums(amp, ap, rows, rows, buffers)
-        right = (_block_sums(amp, ap, rows, slice(stop, m), buffers)
-                 if stop < m else (0.0,) * n_sums)
-        for k in range(n_sums):
-            totals[k] += diag[k] + 2.0 * right[k]
-    return tuple(0.25 * total for total in totals)
+        blocks = [0.0, 0.0]  # the diagonal block, the block right of it
+        for k, cols in enumerate((slice(start, stop), slice(stop, m))):
+            n_cols = cols.stop - cols.start
+            if n_cols == 0:  # the last row block has nothing right of it
+                continue
+            step = max(1, _SCRATCH // n_cols)
+            for first in range(start, stop, step):
+                x = slice(first, min(first + step, stop))
+                size = (x.stop - first) * n_cols
+                c_xy = buffer[:size].reshape(-1, n_cols)
+                c_yx = scratch[:size].reshape(-1, n_cols)
+                np.multiply(amp[x, None], ap[cols], out=c_xy)
+                np.multiply(ap[x, None], amp[cols], out=c_yx)
+                combine(c_xy, c_yx, out=c_xy)
+                v = buffer[:size].view(np.float64)
+                blocks[k] += float(np.einsum("i,i->", v, v))
+        total += blocks[0] + 2.0 * blocks[1]
+    return 0.25 * total
 
 
 def _amplitudes(weights: np.ndarray, omegas: np.ndarray,
@@ -156,13 +135,14 @@ def hom_pair_probabilities(weights: np.ndarray, omegas: np.ndarray,
 
     ``weights`` are normalized spectral weights (sum 1) on the frequency
     grid ``omegas``; ``delta_t`` is the relative delay in metres.  Returns
-    (p_coincidence, p_bunching), each summed on its own over every pair;
-    the two sum to 1 up to rounding, which the ``fock-unitarity`` check
-    tests.  p_coincidence is bit for bit ``hom_coincidence_probability``.
+    (p_coincidence, p_bunching), each summed over every pair in a pass of
+    its own; the two sum to 1 up to rounding, which the ``fock-unitarity``
+    check tests.  p_coincidence is bit for bit ``hom_coincidence_probability``.
     Raises ValueError for mismatched or empty arrays, a negative or
     non-finite weight, a non-finite frequency or a non-finite delay.
     """
-    return _pair_sums_numpy(*_amplitudes(weights, omegas, delta_t), bunching=True)
+    amp, phase = _amplitudes(weights, omegas, delta_t)
+    return _pair_sum(amp, phase, np.subtract), _pair_sum(amp, phase, np.add)
 
 
 def hom_coincidence_probability(weights: np.ndarray, omegas: np.ndarray,
@@ -170,8 +150,6 @@ def hom_coincidence_probability(weights: np.ndarray, omegas: np.ndarray,
     """Coincidence probability of the discretized two-photon state.
 
     Takes the arguments of ``hom_pair_probabilities`` and returns its
-    p_coincidence bit for bit, with one chunk buffer instead of two and
-    no bunching sum.
+    p_coincidence bit for bit, without the bunching pass.
     """
-    (p_coinc,) = _pair_sums_numpy(*_amplitudes(weights, omegas, delta_t), bunching=False)
-    return p_coinc
+    return _pair_sum(*_amplitudes(weights, omegas, delta_t), np.subtract)

@@ -15,7 +15,6 @@ import math
 import sys
 import warnings
 from collections.abc import Callable
-from pathlib import Path
 
 from . import fiber, interference, kerr, reference, turntable
 from .constants import CONSTANTS, GravSource
@@ -86,7 +85,7 @@ class RunReport:
         rows = [f"{name},{format(value, '.17g')}" for name, value in self._rows]
         return "\n".join(["name,value"] + rows) + "\n"
 
-    def write(self, csv: Path | None) -> None:
+    def write(self, csv: str | None) -> None:
         """Text report to stdout and its CSV to ``csv``; or the table to ``csv`` or stdout.
 
         ``csv`` is opened before the first byte goes out, so a path that cannot
@@ -103,7 +102,7 @@ class RunReport:
             _write_table(sys.stdout if handle is None else handle, *self.table)
 
 
-def _open_csv(path: Path | None):
+def _open_csv(path: str | None):
     """``path`` opened for LF-terminated writing, or a null context for no path."""
     if path is None:
         return contextlib.nullcontext()
@@ -539,10 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     ``scan.points``), so ``main`` folds it into the overrides by name.
     """
     csv = argparse.ArgumentParser(add_help=False)
-    csv.add_argument("--csv", type=Path, metavar="PATH",
+    csv.add_argument("--csv", type=str, metavar="PATH",
                      help="also write the results as CSV to this path")
     common = argparse.ArgumentParser(add_help=False, parents=[csv])
-    common.add_argument("--config", type=Path, metavar="PATH",
+    common.add_argument("--config", type=str, metavar="PATH",
                         help="flat key=value parameter file ('#' comments)")
     common.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",
@@ -578,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum speeds, windings, g-forces, coherence lengths")
     hom = sub.add_parser("hom", parents=[guarded],
                          help="single-photon and two-photon interference for a delay")
-    hom.add_argument("--spectrum", type=Path, metavar="PATH",
+    hom.add_argument("--spectrum", type=str, metavar="PATH",
                      help="file of two whitespace-separated columns, omega and density, "
                           "replacing the Gaussian")
     sub.add_parser("fiber", parents=[common],

@@ -311,8 +311,8 @@ def fock_oracle_hom(packet: Wavepacket, delta_t: float, bins: int = 1024) -> flo
     bookkeeping on a ``bins``-point grid and sums coincidence amplitudes
     pairwise — an O(bins^2) route independent of the characteristic-
     function formulas it is used to test.  It sums only the coincidence
-    total, through ``_kernels.hom_coincidence_probability``; the bunching
-    total is summed on its own by the ``fock-unitarity`` check.
+    total, in one pass of ``_kernels.hom_coincidence_probability``; the
+    ``fock-unitarity`` check sums the bunching total in a pass of its own.
     """
     from . import _kernels
 

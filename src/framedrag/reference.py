@@ -454,18 +454,13 @@ def unreproduced_targets() -> list[UnreproducedTarget]:
 def fig1_crossover_radius() -> float:
     """Radius (in units of r_s) where the default scan visibility crosses 1/2.
 
-    Root-found with Brent's method on the full-mode delay; frozen as a
-    regression anchor because the crossover sits far outside the default
-    grid (the quoted near-horizon visibility shape is unreproduced with
-    the stated spectral width).
+    The full-mode delay of one 2 pi r loop is the closed-loop delay
+    4 pi r_s a/(r - r_s), so exp(-(sigma dt)^2) = 1/2 at
+    r/r_s = 1 + 4 pi a sigma/sqrt(ln 2); at the default source this equals
+    the root of the 2 pi r scan's visibility minus 1/2 to the bit.  Frozen
+    as a regression anchor because the crossover sits far outside the
+    default grid (the quoted near-horizon visibility shape is unreproduced
+    with the stated spectral width).
     """
-    from scipy.optimize import brentq
-
-    source = GravSource(r_s=3.0e4, a=7.5e3)
-
-    def deficit(r_over_rs: float) -> float:
-        point = kerr.KerrPoint(source=source, r=r_over_rs * source.r_s)
-        delta_t = kerr.kerr_time_delay_full(point, 2.0 * math.pi * point.r)
-        return interference.gaussian_visibility(delta_t, _FIG1_SIGMA) - 0.5
-
-    return brentq(deficit, 1.0e8, 1.0e9, xtol=1.0e-3, rtol=8.882e-16)
+    a = 7.5e3  # m, the default fig1 source's a (r_s = 3.0e4 m)
+    return 1.0 + 4.0 * math.pi * a * _FIG1_SIGMA / math.sqrt(math.log(2.0))

@@ -19,27 +19,12 @@ import re
 import pytest
 
 from _acceptance_log import record
-from framedrag import cli, fiber, interference, kerr, reference, turntable
+from _cli_helpers import parse_report, run_cli
+from framedrag import fiber, interference, kerr, reference, turntable
 from framedrag.constants import CONSTANTS, GravSource
 from framedrag.interference import Wavepacket
 
 C = CONSTANTS.c
-
-
-def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def parse_report(text):
-    values = {}
-    for line in text.splitlines():
-        if line.startswith("input ") or line.startswith("WARN ") or " = " not in line:
-            continue
-        name, rest = line.split(" = ", 1)
-        values[name.strip()] = float(rest.split()[0])
-    return values
 
 
 def within(value, target, rel):

@@ -14,28 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _cli_helpers import parse_report, run_cli
 from framedrag import cli, kerr
 from framedrag.constants import CONSTANTS, GravSource
 from framedrag.interference import hom_coincidence_gaussian
 from framedrag.reference import CheckResult
 from framedrag.scenario import BLACK_HOLE_DEFAULTS, FIBER_LOOP_DEFAULTS, PARAMETERS, Scenario
-
-
-def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-def parse_report(text):
-    """Pull the numeric outputs out of a report (skips input echoes and warnings)."""
-    values = {}
-    for line in text.splitlines():
-        if line.startswith(("input ", "WARN ")) or " = " not in line:
-            continue
-        name, rest = line.split(" = ", 1)
-        values[name] = float(rest.split()[0])
-    return values
 
 
 # --- default reports -----------------------------------------------------------

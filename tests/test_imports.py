@@ -4,8 +4,9 @@
 numpy, scipy and mpmath; ``fig1`` loads numpy for its radial grid and
 ``verify`` loads all three.  Nor do those four closed-form commands, or
 a rejected input, load the pure-Python modules ``dataclasses``,
-``inspect`` and ``typing``: that check runs under ``python -S``, since a
-``.pth`` file of an installed package may import ``typing`` at startup.
+``inspect``, ``pathlib`` and ``typing``: that check runs under
+``python -S``, since a ``.pth`` file of an installed package may import
+``typing`` at startup.
 The cases need fresh interpreters because the test session itself has
 long since imported all of these.
 """
@@ -20,7 +21,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("numpy", "scipy", "mpmath")
-STDLIB_HEAVY = ("dataclasses", "inspect", "typing")
+STDLIB_HEAVY = ("dataclasses", "inspect", "pathlib", "typing")
 
 # Prints [exit code or null, sorted watched top-level packages in sys.modules].
 PROBE = """

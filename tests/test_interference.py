@@ -152,10 +152,9 @@ def test_numpy_kernel_matches_explicit_loops(bins, delta_t):
     # cannot match.
     omegas, weights = fock_grid(PACKET, bins)
     amp, phase = np.sqrt(0.5 * weights), np.exp(-1j * omegas * delta_t)
-    blocked = _kernels._pair_sums_numpy(amp, phase, bunching=True)
-    loops = _kernels._pair_sums_loops(amp, phase)
-    assert blocked[0] == pytest.approx(loops[0], rel=1e-12)
-    assert blocked[1] == pytest.approx(loops[1], rel=1e-12)
+    p_c, p_b = _kernels._pair_sums_loops(amp, phase)
+    assert _kernels._pair_sum(amp, phase, np.subtract) == pytest.approx(p_c, rel=1e-12)
+    assert _kernels._pair_sum(amp, phase, np.add) == pytest.approx(p_b, rel=1e-12)
 
 
 def _peak_allocation(call, *args) -> int:
@@ -168,14 +167,15 @@ def _peak_allocation(call, *args) -> int:
 
 
 def test_numpy_kernel_peak_allocation():
-    # One M x M complex array at M = 2048 is 64 MiB; the kernel's temporaries
-    # are a chunk buffer per total and a scratch, each max(2**15, M) complex
-    # values (512 KiB up to M = 2**15), so they do not grow with M.
+    # One M x M complex array at M = 2048 is 64 MiB; each pass of the kernel
+    # holds one chunk buffer and one scratch, each max(2**15, M) complex
+    # values (512 KiB up to M = 2**15), so they do not grow with M, and the
+    # two totals, summed in passes of their own, hold no more than the oracle.
     peaks = {}
     for bins in (512, 2048):
         omegas, weights = fock_grid(PACKET, bins)
         peaks[bins] = _peak_allocation(_kernels.hom_pair_probabilities, weights, omegas, 3.0e-4)
-    assert peaks[2048] <= 3 * 2**20
+    assert peaks[2048] <= 1.5 * 2**20
     assert peaks[2048] - peaks[512] < 2**19
 
 
@@ -228,15 +228,15 @@ def test_numpy_kernel_keeps_its_recorded_bits_in_any_call_order():
     # below, at and past one block, called in shuffled order, must give the
     # recorded bits every time and agree with a sum over 100-row strips that
     # shares nothing with the kernel's block or chunk layout.  The
-    # coincidence-only path must give the coincidence bits of the path that
-    # also sums bunching.
+    # coincidence entry point must give the p_coincidence bits of the entry
+    # point that also sums bunching.
     cases = _recorded_kernel_bits()
     amplitudes = {key: (np.sqrt(w), np.exp(-1j * o * dt)) for key, ((w, o, dt), _) in cases.items()}
     keys = list(cases)
     for key in (keys[i] for i in np.random.default_rng(7).permutation(len(keys))):
         inputs, recorded = cases[key]
-        assert _kernels._pair_sums_numpy(*amplitudes[key], bunching=False) == recorded[:1], key
-        assert _kernels._pair_sums_numpy(*amplitudes[key], bunching=True) == recorded, key
+        assert _kernels._pair_sum(*amplitudes[key], np.subtract) == recorded[0], key
+        assert _kernels._pair_sum(*amplitudes[key], np.add) == recorded[1], key
         assert _kernels.hom_coincidence_probability(*inputs) == recorded[0], key
         assert _kernels.hom_pair_probabilities(*inputs) == recorded, key
     for key, (amp, phase) in amplitudes.items():

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from framedrag import _kernels, cli, fiber, interference, kerr, reference
@@ -50,13 +51,13 @@ def test_bunching_is_summed_on_its_own(monkeypatch, capsys):
     # A p_b derived as 1 - p_c would hide the error.
     packet = interference.Wavepacket.gaussian(2.0e6, 3.5e3)
     oracle = interference.fock_oracle_hom(packet, 2.0e-4)
-    pair_sums = _kernels._pair_sums_numpy
+    pair_sum = _kernels._pair_sum
 
-    def skewed(amp, phase, *, bunching):
-        totals = pair_sums(amp, phase, bunching=bunching)
-        return (totals[0], totals[1] + 1.0e-9) if bunching else totals
+    def skewed(amp, phase, combine):
+        total = pair_sum(amp, phase, combine)
+        return total + 1.0e-9 if combine is np.add else total
 
-    monkeypatch.setattr(_kernels, "_pair_sums_numpy", skewed)
+    monkeypatch.setattr(_kernels, "_pair_sum", skewed)
     assert interference.fock_oracle_hom(packet, 2.0e-4) == oracle
     assert not reference.check_fock_unitarity().passed
     assert reference.check_fock_vs_quadrature().passed
