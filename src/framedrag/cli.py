@@ -17,6 +17,7 @@ import warnings
 from collections.abc import Callable
 
 from . import fiber, interference, kerr, reference, turntable
+from ._quadrature import unconverged
 from .constants import CONSTANTS, GravSource
 from .errors import GuardViolation, check_positive, check_speed
 from .interference import SpectrumNormalizationWarning
@@ -169,15 +170,15 @@ def _report_dip(report: RunReport, arms: fiber.FiberArms, omega_rot: float,
 def _report_warnings(report: RunReport, caught: list) -> None:
     """One WARN line per distinct quadrature or spectrum warning; other categories passed on.
 
-    scipy's ``IntegrationWarning`` is matched without importing scipy, so the
-    closed-form commands never load it.  Passed-on warnings are warned again,
-    to be shown or filtered as they would have been without the capture.
+    ``_quadrature.unconverged`` matches the quadrature's warning without
+    importing scipy, so the closed-form commands never load it.  Passed-on
+    warnings are warned again, to be shown or filtered as they would have
+    been without the capture.
     """
-    integration = getattr(sys.modules.get("scipy.integrate"), "IntegrationWarning", ())
     found: dict[tuple[str, str], None] = {}
     registry: dict = {}
     for item in caught:
-        if issubclass(item.category, integration):
+        if unconverged(item.category):
             first = " ".join(str(item.message).split()).split(". ")[0].rstrip(".")
             found[("quadrature-unconverged",
                    f"{first}; a quadrature value above may be inaccurate.")] = None

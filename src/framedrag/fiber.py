@@ -27,7 +27,6 @@ import math
 from ._record import frozen
 from .constants import CONSTANTS
 from .errors import check_at_least, check_positive, check_speed, direction_sign
-from .interference import _QUAD_OPTS
 from .turntable import fiber_loop_delay, sagnac_phase
 
 __all__ = [
@@ -309,7 +308,7 @@ def downconverted_coincidence(sigma: float, coeffs: DispersionCoefficients,
     for bit and QUADPACK's nodes come in mirror pairs, so each call
     evaluates it once per |w|.
     """
-    from scipy.integrate import quad
+    from ._quadrature import integrate
 
     check_positive(sigma, "sigma")
     check_positive(length, "length")
@@ -328,8 +327,7 @@ def downconverted_coincidence(sigma: float, coeffs: DispersionCoefficients,
             value = seen[abs(w)] = _downconverted_integrand(w, sigma, norm, da, bs, length)
         return value
 
-    value, _ = quad(integrand, -half, half, **_QUAD_OPTS)
-    return 0.5 * value
+    return 0.5 * integrate(integrand, -half, half)
 
 
 def downconverted_coincidence_closed(sigma: float, delta_alpha: float, length: float) -> float:

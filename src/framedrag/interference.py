@@ -3,9 +3,9 @@
 Delays are lengths (metres) and spectra live on inverse-metre grids, so a
 "time" delay Δt multiplies a wavenumber directly to give phase.  The
 two-photon (Hong-Ou-Mandel) coincidence comes in three independent routes:
-a Gaussian closed form, an adaptive-quadrature characteristic function for
-arbitrary spectra, and a discretized Fock-state oracle that does explicit
-beamsplitter mode bookkeeping (used to cross-check the other two).
+a Gaussian closed form, a characteristic function for any spectrum, and a
+discretized Fock-state oracle that does explicit beamsplitter mode
+bookkeeping (used to cross-check the other two).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
 NARROWBAND_GUARD = 0.2  # sigma/omega0 bound for the closed-form detection probability
 MAX_FOCK_BINS = 2048
 
-_QUAD_OPTS = dict(epsabs=1.0e-13, epsrel=1.0e-11, limit=500)
 _GAUSS_WINDOW = 12.0  # integration half-width in units of sigma
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -51,15 +50,16 @@ class Wavepacket:
     A packet without grids is Gaussian, defined by center ``omega0`` and
     width ``sigma`` (density (1/(pi sigma^2))^(1/2) exp(-(omega-omega0)^2/sigma^2)).
     A packet with grids is tabulated: it carries an explicit (omega, density)
-    grid, is renormalized on construction, and is treated downstream as
-    trapezoid-weighted spectral atoms.  For tabulated packets omega0 is
-    the grid mean and sigma is sqrt(2) times the grid standard deviation,
-    matching the exp(-(omega-omega0)^2/sigma^2) width convention above
-    (for which sigma is sqrt(2) times the spectral std).
+    grid, is renormalized on construction, and is its trapezoid-weighted
+    spectral atoms in every route (``density`` interpolates the grid for
+    inspection only).  For tabulated packets omega0 is the grid mean and
+    sigma is sqrt(2) times the grid standard deviation, matching the
+    exp(-(omega-omega0)^2/sigma^2) width convention above (for which sigma
+    is sqrt(2) times the spectral std).
 
-    A packet integrates its normalization chi(0) = integral of the density
-    once, on first use of ``_chi0``; every zero-delay transform of the
-    packet returns that value.
+    A Gaussian packet integrates its normalization chi(0) = integral of the
+    density once, on first use of ``_chi0``; every zero-delay transform of
+    the packet returns that value.
     """
 
     omega0: float
@@ -153,6 +153,8 @@ def load_spectrum(path) -> Wavepacket:
     """
     import numpy as np
 
+    if str(path) == "":
+        raise ValueError("spectrum file path is empty")
     data = np.loadtxt(path, comments="#", ndmin=2)
     if data.shape[1] != 2:
         raise ValueError(f"spectrum file must have two columns, got {data.shape[1]}")
@@ -190,14 +192,14 @@ def single_photon_prob_gaussian(delta_phi: float, omega0: float, sigma: float, *
     return 0.5 * (1.0 + math.exp(-x * x) * math.sin(delta_phi))
 
 
-def _centered_quad(packet: Wavepacket, **weight) -> float:
-    """Integral of density(omega0 + u) over [-half, 0] plus [0, half] by QUADPACK.
+def _centered_quad(packet: Wavepacket, cos: float | None = None) -> float:
+    """Integral of a Gaussian density(omega0 + u) over [-half, 0] plus [0, half].
 
-    ``weight`` is empty for plain QAGS, or ``weight="cos", wvar=dt`` for
-    QAWO's cos(u dt) weight.
+    ``cos`` is None for plain QAGS, or dt for QAWO's cos(u dt) weight.
     """
     import numpy as np
-    from scipy.integrate import quad
+
+    from ._quadrature import integrate
 
     omega0 = packet.omega0
 
@@ -205,33 +207,42 @@ def _centered_quad(packet: Wavepacket, **weight) -> float:
         return float(_density(np, packet, omega0 + u))
 
     half = _GAUSS_WINDOW * packet.sigma
-    if packet.grid_omega is not None:
-        half = max(half, float(packet.grid_omega[-1] - packet.grid_omega[0]))
-    left, _ = quad(centered, -half, 0.0, **weight, **_QUAD_OPTS)
-    right, _ = quad(centered, 0.0, half, **weight, **_QUAD_OPTS)
-    return left + right
+    return integrate(centered, -half, 0.0, cos) + integrate(centered, 0.0, half, cos)
 
 
 def _centered_cosine_transform(packet: Wavepacket, delta_t: float) -> float:
-    """integral of density(omega) cos((omega - omega0) dt) d omega by quadrature.
+    """integral of a Gaussian density(omega) cos((omega - omega0) dt) d omega by quadrature.
 
     At dt = 0 this is the packet's ``_chi0``, integrated once per packet;
     any other dt is one QAWO integral per half-window.
     """
     if delta_t == 0.0:
         return packet._chi0
-    return _centered_quad(packet, weight="cos", wvar=delta_t)
+    return _centered_quad(packet, delta_t)
+
+
+def _atoms_chi(packet: Wavepacket, delta_t: float) -> complex:
+    """chi(dt)/chi(0) of a tabulated packet, summed over its trapezoid atoms."""
+    import numpy as np
+
+    weights = _trapz_weights(packet.grid_omega) * packet.grid_density
+    phases = np.exp(-1j * packet.grid_omega * delta_t)
+    # chi(0) is the same dot with unit phases, so the ratio is exactly 1 at dt = 0
+    return (weights @ phases) / (weights @ np.ones_like(phases))
 
 
 def single_photon_prob_quadrature(delta_phi: float, packet: Wavepacket) -> float:
-    """Detection probability by integrating (1 + sin(omega dt))/2 over the spectrum.
+    """Detection probability (1 + <sin(omega dt)>)/2 over the spectrum, dt = delta_phi/omega0.
 
-    The delay is delta_phi/omega0.  Serves as the independent check of
-    ``single_photon_prob_gaussian`` in its narrowband regime.
+    A tabulated packet sums its atoms: <sin(omega dt)> = -Im chi(dt)/chi(0).
+    A Gaussian density is even about omega0, so <sin(omega dt)> is
+    sin(omega0 dt) times its cosine transform by adaptive quadrature.  Serves
+    as the independent check of ``single_photon_prob_gaussian`` in its
+    narrowband regime.
     """
     delta_t = delta_phi / packet.omega0
-    # density is even about omega0, so only the cosine part survives:
-    # <sin(omega dt)> = sin(omega0 dt) * integral(density * cos(u dt)).
+    if packet.grid_omega is not None:
+        return float(0.5 * (1.0 - _atoms_chi(packet, delta_t).imag))
     envelope = _centered_cosine_transform(packet, delta_t)
     return 0.5 * (1.0 + math.sin(packet.omega0 * delta_t) * envelope)
 
@@ -250,18 +261,13 @@ def hom_coincidence_general(packet: Wavepacket, delta_t: float) -> float:
 
     chi is the spectral characteristic function.  Gaussian packets are
     integrated by adaptive quadrature (independent of the closed form);
-    tabulated packets are summed as discrete spectral atoms, so a
+    tabulated packets are summed as their trapezoid atoms, so a
     symmetric two-point spectrum at omega0 +- d gives the
     (1 - cos^2(d dt))/2 beat pattern exactly.  The chi(0) normalization
     makes the coincidence vanish identically at zero delay.
     """
     if packet.grid_omega is not None:
-        import numpy as np
-
-        weights = _trapz_weights(packet.grid_omega) * packet.grid_density
-        phases = np.exp(-1j * packet.grid_omega * delta_t)
-        chi0 = weights @ np.ones_like(phases)  # the same dot as chi, so p(0) is exactly 0
-        ratio2 = min(abs((weights @ phases) / chi0), 1.0) ** 2  # |chi| <= chi0 up to rounding
+        ratio2 = min(abs(_atoms_chi(packet, delta_t)), 1.0) ** 2  # |chi| <= chi0 up to rounding
     else:
         # |chi(dt)| reduces to the centered cosine transform because the
         # density is even about omega0; the carrier phase drops in |.|.

@@ -210,13 +210,13 @@ def check_visibility_exponent_ratio() -> CheckResult:
 
 
 def check_wavepacket_normalization() -> CheckResult:
-    from scipy.integrate import quad
+    from ._quadrature import integrate
 
     deviations = []
     for omega0, sigma in ((2.0e6, 3.5e3), (8.0e6, 4000.0 * math.pi), (1.0e6, 1.0e5)):
         packet = Wavepacket.gaussian(omega0, sigma)
-        total, _ = quad(lambda w: float(packet.density(w)),
-                        omega0 - 12.0 * sigma, omega0 + 12.0 * sigma, **interference._QUAD_OPTS)
+        total = integrate(lambda w: float(packet.density(w)),
+                          omega0 - 12.0 * sigma, omega0 + 12.0 * sigma)
         deviations.append(abs(total - 1.0))
     return _result("wavepacket-normalization", deviations, 1.0e-10)
 

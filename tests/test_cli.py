@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from _cli_helpers import parse_report, run_cli
 from framedrag import cli, kerr
 from framedrag.constants import CONSTANTS, GravSource
-from framedrag.interference import hom_coincidence_gaussian
+from framedrag.interference import Wavepacket, hom_coincidence_gaussian
 from framedrag.reference import CheckResult
 from framedrag.scenario import BLACK_HOLE_DEFAULTS, FIBER_LOOP_DEFAULTS, PARAMETERS, Scenario
 
@@ -192,6 +193,31 @@ def test_hom_spectrum_whose_sums_round_apart_has_full_visibility(capsys, tmp_pat
     code, out, _ = run_cli(capsys, "hom", "--spectrum", str(path))
     assert code == 0
     assert "hom_visibility = 1 [hom-visibility] (~1)" in out
+
+
+@pytest.mark.parametrize("shape", ["gaussian-25", "skewed-801"])
+def test_hom_spectrum_makes_no_unconverged_quadrature(capsys, tmp_path, shape):
+    # every route sums the table's trapezoid atoms, so nothing is left to converge
+    packet = Wavepacket.gaussian(2.0e6, 3.5e3)
+    if shape == "gaussian-25":
+        omegas = np.linspace(2.0e6 - 6.0 * 3.5e3, 2.0e6 + 6.0 * 3.5e3, 25)
+        density = packet.density(omegas)
+    else:
+        omegas = np.linspace(1.99e6, 2.03e6, 801)
+        x = (omegas - omegas[0]) / 4.0e3
+        density = x * x * np.exp(-x)
+    path = tmp_path / "spectrum.txt"
+    np.savetxt(path, np.column_stack([omegas, density]))
+    code, out, err = run_cli(capsys, "hom", "--spectrum", str(path))
+    assert code == 0 and err == ""
+    assert "WARN quadrature-unconverged" not in out
+    assert 0.0 <= parse_report(out)["photon_prob_quadrature"] <= 1.0
+
+
+def test_empty_spectrum_path_is_one_validation_error(capsys):
+    code, out, err = run_cli(capsys, "hom", "--spectrum", "")
+    assert code == 2 and out == ""
+    assert err == "ERROR validation: spectrum file path is empty\n"
 
 
 def test_config_file_and_set_precedence(capsys, tmp_path):

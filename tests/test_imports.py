@@ -1,16 +1,18 @@
 """Import budget of the command line, each case in a fresh interpreter.
 
 ``kerr``, ``equivalence``, ``feasibility`` and ``fig3`` load none of
-numpy, scipy and mpmath; ``fig1`` loads numpy for its radial grid and
-``verify`` loads all three.  Nor do those four closed-form commands, or
-a rejected input, load the pure-Python modules ``dataclasses``,
-``inspect``, ``pathlib`` and ``typing``: that check runs under
-``python -S``, since a ``.pth`` file of an installed package may import
-``typing`` at startup.
+numpy, scipy and mpmath; ``fig1`` (for its radial grid) and ``hom
+--spectrum`` (for its table) load only numpy, and ``verify`` loads all
+three.  Nor do those four closed-form commands, or a rejected input,
+load the pure-Python modules ``dataclasses``, ``inspect``, ``pathlib``
+and ``typing``: that check runs under ``python -S``, since a ``.pth``
+file of an installed package may import ``typing`` at startup.
 The cases need fresh interpreters because the test session itself has
-long since imported all of these.
+long since imported all of these.  One more check reads the source:
+``_quadrature`` is the only module that imports scipy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -79,6 +81,13 @@ def test_figure_csv_export_loads_no_further_heavy_module(argv, tmp_path):
     assert path.stat().st_size > 0
 
 
+def test_hom_with_a_tabulated_spectrum_loads_no_scipy(tmp_path):
+    # every route sums the table's trapezoid atoms; nothing calls the quadrature
+    path = tmp_path / "spectrum.txt"
+    path.write_text("1.95e6 0.25\n2.0e6 0.5\n2.05e6 0.25\n")
+    assert _probe(["hom", "--spectrum", str(path)]) == (0, ["numpy"])
+
+
 def test_verify_still_loads_scipy_and_mpmath():
     assert _probe(["verify"]) == (0, ["mpmath", "numpy", "scipy"])
 
@@ -95,3 +104,24 @@ def test_verify_still_loads_scipy_and_mpmath():
 def test_closed_form_commands_load_no_stdlib_heavy_module(argv, code):
     # -S: without site, no .pth file of the host's packages imports typing first
     assert _probe(argv, "-S", watched=STDLIB_HEAVY) == (code, [])
+
+
+def _scipy_seams(path: Path):
+    """Each import of scipy in ``path``, and each use of ``_QUAD_OPTS`` by import or attribute."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if (node.module or "").split(".")[0] == "scipy" or "_QUAD_OPTS" in names:
+                yield f"from {node.module or '.'} import {', '.join(names)}"
+        elif isinstance(node, ast.Attribute) and node.attr == "_QUAD_OPTS":
+            yield "._QUAD_OPTS"
+
+
+def test_only_the_quadrature_module_imports_scipy():
+    # one seam: swapping the quadrature rewrites _quadrature.py and nothing else
+    seen = {path.name: list(_scipy_seams(path))
+            for path in sorted((SRC / "framedrag").glob("*.py"))}
+    assert {name: found for name, found in seen.items() if found} == {
+        "_quadrature.py": ["from scipy.integrate import quad"]}

@@ -82,6 +82,24 @@ def test_single_photon_envelope_curvature():
     assert math.isclose(envelope, math.exp(-0.25), rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("points", [25, 49, 201])
+def test_sampled_gaussian_single_photon_matches_the_gaussian_route(points):
+    # The atoms of a grid with spacing h have a chi(dt) that repeats with
+    # period 2 pi/h, so the nearest alias adds up to exp(-(2 pi sigma/h -
+    # sigma dt)^2/4)/2 to the probability: 5.8e-11 at 25 points and
+    # sigma dt = 3, at most 3.8e-13 at the other points here.
+    grid = np.linspace(PACKET.omega0 - 6.0 * PACKET.sigma, PACKET.omega0 + 6.0 * PACKET.sigma,
+                       points)
+    tab = Wavepacket.tabulated(grid, PACKET.density(grid))
+    alias_period = 2.0 * math.pi * PACKET.sigma / (grid[1] - grid[0])
+    for x in (0.0, 0.5, 1.0, 2.0, 3.0):
+        delta_t = x / PACKET.sigma
+        atoms = single_photon_prob_quadrature(tab.omega0 * delta_t, tab)
+        gaussian = single_photon_prob_quadrature(PACKET.omega0 * delta_t, PACKET)
+        alias = 0.5 * math.exp(-0.25 * (alias_period - x) ** 2)
+        assert abs(atoms - gaussian) <= 1e-11 + alias, (points, x)
+
+
 # --- two-photon routes -------------------------------------------------------
 
 def test_hom_gaussian_exact_points():

@@ -22,6 +22,7 @@ import math
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -77,6 +78,28 @@ def test_packet_quadratures_keep_their_recorded_bits(name):
     assert _packet_rows(spec) == spec["rows"]
 
 
+def test_tabulated_single_photon_is_the_sum_over_its_atoms():
+    # (1 + sum w_k sin(omega_k dt) / sum w_k)/2 over the packet's own trapezoid
+    # atoms, summed to 30 digits.  With the route's float phases fl(omega_k dt)
+    # the sum and the formula hold to 1e-15; with exact phases the rounding of
+    # each phase (half an ulp of up to ~330 rad here) adds its own bound.
+    spec = DATA["packets"]["tabulated-skewed"]
+    packet = _packet(spec)
+    weights = interference._trapz_weights(packet.grid_omega) * packet.grid_density
+    atoms = list(zip(packet.grid_omega.tolist(), weights.tolist()))
+    with mpmath.workdps(30):
+        total = mpmath.fsum(mpmath.mpf(w) for _, w in atoms)
+        for recorded in _floats(spec["delays"]):
+            delta_phi = packet.omega0 * recorded
+            value = interference.single_photon_prob_quadrature(delta_phi, packet)
+            dt = delta_phi / packet.omega0  # the delay the route forms
+            rounded = mpmath.fsum(w * mpmath.sin(omega * dt) for omega, w in atoms)
+            exact = mpmath.fsum(w * mpmath.sin(mpmath.mpf(omega) * dt) for omega, w in atoms)
+            phase_bound = 0.5 * 2.0 ** -53 * max(abs(omega * dt) for omega, _ in atoms)
+            assert abs(value - (1 + rounded / total) / 2) <= 1e-15, recorded
+            assert abs(value - (1 + exact / total) / 2) <= 1e-15 + phase_bound, recorded
+
+
 def test_downconverted_keeps_its_recorded_bits():
     rows = DATA["downconverted"]["rows"]
     assert [_downconverted(row) for row in rows] == [row[6] for row in rows]
@@ -104,8 +127,15 @@ def _count_quad_calls(monkeypatch, argv: list[str]) -> collections.Counter:
     (["verify"], {("framedrag.interference", None): 6, ("framedrag.interference", "cos"): 52,
                   ("framedrag.fiber", None): 64, ("framedrag.reference", None): 3}),
     (["hom"], {("framedrag.interference", None): 2, ("framedrag.interference", "cos"): 4}),
+    # a tabulated spectrum is summed over its trapezoid atoms in every route
+    (["hom", "--spectrum", "SPECTRUM"], {}),
 ])
-def test_quadrature_call_counts(monkeypatch, argv, expected):
+def test_quadrature_call_counts(monkeypatch, tmp_path, argv, expected):
+    spectrum = tmp_path / "spectrum.txt"
+    omegas = np.linspace(1.99e6, 2.03e6, 801)
+    x = (omegas - omegas[0]) / 4.0e3
+    np.savetxt(spectrum, np.column_stack([omegas, x * x * np.exp(-x)]))
+    argv = [str(spectrum) if arg == "SPECTRUM" else arg for arg in argv]
     assert _count_quad_calls(monkeypatch, argv) == expected
 
 
