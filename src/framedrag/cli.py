@@ -18,7 +18,7 @@ from collections.abc import Callable
 
 from . import fiber, interference, kerr, reference, turntable
 from ._quadrature import unconverged
-from .constants import CONSTANTS, GravSource
+from .constants import CONSTANTS
 from .errors import GuardViolation, check_positive, check_speed
 from .interference import SpectrumNormalizationWarning
 from .scenario import (
@@ -41,10 +41,6 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".17g")
-
-
-def _near(value: float, target: float, rel: float = 0.01) -> bool:
-    return abs(value - target) <= rel * abs(target)
 
 
 class RunReport:
@@ -140,31 +136,22 @@ def _guard_phase_resolution(phase: float) -> None:
             "rad: sin(phase) and the detection probabilities have no correct digit.")
 
 
-def _warn_earth_radius(report: RunReport, source: GravSource, r: float) -> None:
-    if _near(source.r_s, 0.009) and _near(source.a, 3.9) and (
-            _near(r, 6.37e6) or _near(r, 6.37e7)):
-        report.warn(
-            "earth-radius-convention",
-            "r_s = 0.009 m with a = 3.9 m is quoted against both r = 6.37e6 m "
-            "and r = 6.37e7 m; the headline splitting figures assume "
-            "r = 6.37e7 m. Outputs above use the echoed inputs verbatim.")
-
-
-def _report_dip(report: RunReport, arms: fiber.FiberArms, omega_rot: float,
-                radius: float) -> None:
-    """The three dip-shift lines, and the quoted 3e-11 s target for its stock inputs."""
+def _report_dip(report: RunReport, arms: fiber.FiberArms) -> None:
     dip = fiber.hom_dip_shift(arms)
     report.output("dip_delta_t_total", dip.delta_t_total, "m", "dip-shift-total")
     report.output("dip_center_shift", dip.center_shift, "m", "dip-center-shift")
     report.output("dip_center_shift_approx", dip.center_shift_approx, "m",
                   "dip-center-shift-approx")
-    if (_near(omega_rot, 2.0 * math.pi) and _near(radius, 0.2)
-            and _near(arms.delta_length, 0.01)):
-        report.warn(
-            "target-value-unreproduced",
-            "quoted residual dip-center timescale 3e-11 s; the shift formula "
-            f"gives {format(dip.center_shift / _C, '.17g')} s "
-            f"({format(dip.center_shift, '.17g')} m) for these inputs.")
+
+
+def _warn_quoted(report: RunReport, command: str, scenario: Scenario) -> None:
+    """A WARN for each ``reference.QUOTED`` row of ``command`` whose stock inputs the run holds."""
+    for row in reference.QUOTED:
+        if command in row.commands and any(s.items() <= scenario.values.items() for s in row.stock):
+            value = dict(report._rows).get(row.line, math.nan)  # nan for a row without a line
+            report.warn(row.tag, row.message.format(quoted=row.quoted, unit=row.unit,
+                                                    printed=_fmt(value),
+                                                    value=_fmt(value / row.per_unit)))
 
 
 def _report_warnings(report: RunReport, caught: list) -> None:
@@ -197,14 +184,13 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report = RunReport()
     report.echo_inputs(scenario)
     point = scenario.point()
-    source = point.source
     length = scenario.path_length()
     omega0 = scenario.require("light.omega0")
     sigma = scenario.require("light.sigma")
     force = args.override_guards
 
-    if source.sub_extremal and source.r_s > 0.0:
-        report.output("horizon_radius", kerr.horizon_radius(source), "m",
+    if point.source.sub_extremal and point.source.r_s > 0.0:
+        report.output("horizon_radius", kerr.horizon_radius(point.source), "m",
                       "horizon-radius")
     metric = kerr.metric_components_kerr(point)
     report.output("g_tt", metric.g_tt, None, "metric-kerr")
@@ -260,8 +246,6 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("photon_prob_gaussian",
                   interference.single_photon_prob_gaussian(phase, omega0, sigma, force=force),
                   None, "single-photon-gaussian")
-
-    _warn_earth_radius(report, source, point.r)
     return report
 
 
@@ -296,13 +280,6 @@ def cmd_equivalence(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("v_equiv_si", result.v * _C, "m/s", "equivalence-leading")
     report.output("omega_equiv", result.v * _C / r_t, "rad/s", "angular-frequency")
     report.output("g_force", turntable.g_force(result.v, r_t), "g0", "g-force")
-
-    if _near(source.r_s, 0.009) and _near(source.a, 3.9) and _near(r, 100.0):
-        report.warn(
-            "target-value-unreproduced",
-            "quoted equivalence velocity 110 m/s for r_s = 0.009 m, a = 3.9 m, "
-            f"r = 100 m; the matching formula gives {format(result.v * _C, '.17g')} m/s.")
-    _warn_earth_radius(report, source, r)
     return report
 
 
@@ -340,7 +317,7 @@ def cmd_feasibility(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("coherence_length",
                   fiber.coherence_length_required(arms.length, table.omega_rot, radius),
                   "m", "coherence-length")
-    _report_dip(report, arms, table.omega_rot, radius)
+    _report_dip(report, arms)
     return report
 
 
@@ -432,7 +409,7 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("group_phase_correction", correction, "rad",
                   "group-phase-correction")
 
-    _report_dip(report, arms, table.omega_rot, table.r_t)
+    _report_dip(report, arms)
     report.output("downconverted_closed",
                   fiber.downconverted_coincidence_closed(
                       sigma, coeffs.delta_alpha, arms.length),
@@ -511,10 +488,10 @@ def _run_verify() -> tuple[str, bool]:
     results = reference.run_all_checks()
     report.lines = [f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
                     for res in results]
-    for target in reference.unreproduced_targets():
-        report.warn("target-value-unreproduced",
-                    f"{target.name}: quoted {target.quoted}, formula gives "
-                    f"{format(target.computed, '.17g')} {target.unit} ({target.context}).")
+    for row in reference.QUOTED:
+        if row.value_of is not None:
+            report.warn(row.tag, f"{row.name}: quoted {row.quoted}, formula gives "
+                                 f"{_fmt(row.computed())} {row.unit} ({row.context}).")
     passed = sum(res.passed for res in results)
     summary = f"verify: {passed}/{len(results)} checks passed\n"
     return report.render() + summary, passed == len(results)
@@ -612,6 +589,7 @@ def main(argv: list[str] | None = None) -> int:
             # validates everything before any output; a figure's rows are
             # computed during report.write, outside this block, and cannot warn
             report = runner(scenario, args)
+        _warn_quoted(report, args.command, scenario)
         _report_warnings(report, caught)
         report.write(args.csv)
         return 0

@@ -6,26 +6,27 @@ oracle) or asserts a structural identity.  The checks are callables so
 tests can inject tampered implementations and confirm the suite actually
 catches them.
 
-``unreproduced_targets`` returns the quoted figures that direct evaluation
-of the printed formulas does not reproduce; the verify command flags them
+``QUOTED`` lists the quoted figures that the printed formulas do not
+reproduce, with their stock inputs; the commands and ``verify`` flag them
 instead of silently dropping or "fixing" them.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from . import fiber, interference, kerr, turntable
 from ._record import frozen
 from .constants import CONSTANTS, GravSource
 from .interference import Wavepacket
+from .scenario import Scenario
 
 __all__ = [
     "CheckResult",
-    "UnreproducedTarget",
+    "QuotedFigure",
+    "QUOTED",
     "run_all_checks",
-    "unreproduced_targets",
     "fig1_crossover_radius",
     "check_null_residual",
     "check_weak_vs_full",
@@ -59,15 +60,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.worst <= self.bound  # a NaN worst fails
-
-
-@frozen
-class UnreproducedTarget:
-    name: str
-    quoted: str
-    computed: float
-    unit: str
-    context: str
 
 
 _FORM = "{label} {worst:.3e} vs bound {bound:.3e} over {count} points"
@@ -416,39 +408,68 @@ def run_all_checks() -> list[CheckResult]:
     ]
 
 
-def unreproduced_targets() -> list[UnreproducedTarget]:
-    """Quoted figures that the printed formulas do not reproduce.
+@frozen
+class QuotedFigure:
+    """A figure the paper quotes that its formulas do not reproduce, and its stock inputs.
 
-    These are reported as warnings wherever the surrounding numbers are
-    computed; dropping them silently is treated as a defect.
+    A run of one of ``commands`` whose ``Scenario.values`` contain a ``stock`` set
+    exactly warns ``tag`` with ``message``, filled in with ``quoted``, ``unit``, the value
+    the run printed on ``line`` (``printed``) and that value over ``per_unit`` (``value``).
+    ``value_of`` maps a ``Scenario`` to what ``line`` prints; ``verify`` prints ``computed()``.
     """
-    source = GravSource(r_s=0.009, a=3.9)
-    equiv = turntable.equivalence_velocity_metric(source, r=100.0)
-    v_si = equiv.v * CONSTANTS.c
 
-    table = turntable.TurntableConfig.from_angular_frequency(0.2, 2.0 * math.pi)
-    arms = fiber.FiberArms(length=1.0e4, delta_length=0.01,
-                           model=fiber.RefractiveModel.constant(1.453), v=table.v)
-    dip = fiber.hom_dip_shift(arms)
-    shift_seconds = dip.center_shift / CONSTANTS.c
+    name: str
+    tag: str
+    quoted: str
+    unit: str
+    commands: tuple[str, ...]
+    stock: tuple[Mapping[str, float], ...]
+    message: str
+    line: str | None = None
+    per_unit: float = 1.0
+    value_of: Callable[[Scenario], float] | None = None
+    extra: Mapping[str, float] = {}  # inputs value_of reads besides the stock ones
+    context: str = ""
 
-    return [
-        UnreproducedTarget(
-            name="small-source-equivalence-velocity",
-            quoted="110 m/s",
-            computed=v_si,
-            unit="m/s",
-            context="metric matching at r_s=0.009 m, a=3.9 m, r=100 m",
-        ),
-        UnreproducedTarget(
-            name="dip-residual-timescale",
-            quoted="3e-11 s",
-            computed=shift_seconds,
-            unit="s",
-            context=("residual dip-center shift at Omega=2*pi rad/s, R=0.2 m, "
-                     "delta_L=0.01 m, n=1.453, L=1e4 m"),
-        ),
-    ]
+    def computed(self) -> float:
+        """``value_of`` at the first stock set plus ``extra``, in ``unit``."""
+        return self.value_of(Scenario.assemble({}, {}, self.stock[0] | self.extra)) / self.per_unit
+
+
+_EARTH = {"source.rs": 0.009, "source.a": 3.9}
+
+# The quoted figures; verify prints the rows that have a value_of in this order.
+QUOTED: tuple[QuotedFigure, ...] = (
+    QuotedFigure(
+        name="earth-radius-convention", tag="earth-radius-convention",
+        quoted="r = 6.37e6 m and r = 6.37e7 m", unit="m", commands=("kerr", "equivalence"),
+        stock=(_EARTH | {"point.r": 6.37e6}, _EARTH | {"point.r": 6.37e7}),
+        message="r_s = 0.009 m with a = 3.9 m is quoted against both {quoted}; the "
+                "headline splitting figures assume r = 6.37e7 m. Outputs above use the "
+                "echoed inputs verbatim."),
+    QuotedFigure(
+        name="small-source-equivalence-velocity", tag="target-value-unreproduced",
+        quoted="110 m/s", unit="m/s", commands=("equivalence",), line="v_equiv_si",
+        stock=(_EARTH | {"point.r": 100.0},),
+        message="quoted equivalence velocity {quoted} for r_s = 0.009 m, a = 3.9 m, "
+                "r = 100 m; the matching formula gives {value} {unit}.",
+        value_of=lambda scenario: turntable.equivalence_velocity_metric(
+            scenario.source(), scenario.require("point.r")).v * CONSTANTS.c,
+        context="metric matching at r_s=0.009 m, a=3.9 m, r=100 m"),
+    QuotedFigure(
+        name="dip-residual-timescale", tag="target-value-unreproduced",
+        quoted="3e-11 s", unit="s", commands=("feasibility", "fiber"),
+        stock=({"turntable.omega": 2.0 * math.pi, "turntable.radius": 0.2,
+                "arms.delta_length": 0.01},),
+        message="quoted residual dip-center timescale {quoted}; the shift formula "
+                "gives {value} {unit} ({printed} m) for these inputs.",
+        line="dip_center_shift", per_unit=CONSTANTS.c,
+        value_of=lambda scenario: fiber.hom_dip_shift(scenario.fiber_arms()).center_shift,
+        # a constant n = 1.453, where fiber and feasibility use their A/k + B index
+        extra={"medium.a": 0.0, "medium.b": 1.453, "arms.length": 1.0e4, "medium.k0": 8.0e6},
+        context="residual dip-center shift at Omega=2*pi rad/s, R=0.2 m, "
+                "delta_L=0.01 m, n=1.453, L=1e4 m"),
+)
 
 
 def fig1_crossover_radius() -> float:

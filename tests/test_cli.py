@@ -19,7 +19,7 @@ from _cli_helpers import parse_report, run_cli
 from framedrag import cli, kerr
 from framedrag.constants import CONSTANTS, GravSource
 from framedrag.interference import Wavepacket, hom_coincidence_gaussian
-from framedrag.reference import CheckResult
+from framedrag.reference import QUOTED, CheckResult
 from framedrag.scenario import BLACK_HOLE_DEFAULTS, FIBER_LOOP_DEFAULTS, PARAMETERS, Scenario
 
 
@@ -103,6 +103,44 @@ def test_equivalence_small_source_warns(capsys):
     assert code == 0
     assert "WARN target-value-unreproduced" in out
     assert "1052.3188829887727 m/s" in out
+
+
+def test_timeshift_quotes_its_own_printed_velocity(capsys):
+    code, out, _ = run_cli(capsys, "equivalence", "--method", "timeshift", "--set", "point.r=100")
+    assert code == 0
+    assert ("WARN target-value-unreproduced: quoted equivalence velocity 110 m/s for "
+            "r_s = 0.009 m, a = 3.9 m, r = 100 m; the matching formula gives "
+            "526134.95353621873 m/s.\n") in out
+
+
+QUOTED_TAGS = {row.tag for row in QUOTED}
+
+
+@pytest.mark.parametrize("argv", [
+    ["equivalence", "--set", "point.r=100.9"],
+    ["kerr", "--set", "point.r=6.4e7"],
+    ["fiber", "--set", "turntable.radius=0.201"],
+], ids=["equivalence-r-100.9", "kerr-r-6.4e7", "fiber-radius-0.201"])
+def test_near_stock_inputs_quote_no_figure(argv, capsys):
+    # a quoted figure holds for its stock inputs exactly, not for inputs within 1%
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [line for line in out.splitlines()
+            if line.startswith("WARN ") and line.split()[1].rstrip(":") in QUOTED_TAGS] == []
+
+
+STOCK_RUNS = [(row, command, stock) for row in QUOTED for command in row.commands
+              for stock in row.stock]
+
+
+@pytest.mark.parametrize("row,command,stock", STOCK_RUNS,
+                         ids=[f"{row.name}-{command}-{i}"
+                              for i, (row, command, _) in enumerate(STOCK_RUNS)])
+def test_stock_inputs_print_their_quoted_tag(row, command, stock, capsys):
+    argv = [item for key, value in stock.items() for item in ("--set", f"{key}={value!r}")]
+    code, out, _ = run_cli(capsys, command, *argv)
+    assert code == 0
+    assert f"WARN {row.tag}: " in out
 
 
 def test_feasibility_defaults(capsys):

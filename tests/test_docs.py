@@ -12,6 +12,7 @@ import pytest
 
 from framedrag import cli
 from framedrag.errors import check_positive, check_speed
+from framedrag.reference import QUOTED
 from framedrag.scenario import PARAMETERS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +33,23 @@ def _cli_output_anchors() -> set[str]:
             assert isinstance(tag, ast.Constant), f"line {node.lineno}: anchor is not a literal"
             anchors.add(tag.value)
     return anchors
+
+
+def _cli_warning_tags() -> set[str]:
+    """Every literal tag in cli.py: the 1st argument of ``.warn(...)`` calls, and the 1st
+    item of the ``(tag, message)`` keys ``_report_warnings`` collects before warning."""
+    tags = set()
+    for node in ast.walk(ast.parse(CLI_SOURCE.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "warn"):
+            first = node.args[0]
+        elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            first = node.slice.elts[0]
+        else:
+            continue
+        if isinstance(first, ast.Constant):
+            tags.add(first.value)
+    return tags
 
 
 def _range_text(allowed) -> str:
@@ -59,6 +77,14 @@ def test_every_cli_anchor_is_documented():
     anchors = _cli_output_anchors()
     assert len(anchors) > 40  # the walk found the report calls
     assert anchors - DOCUMENTED == set()
+
+
+def test_every_warning_tag_is_documented():
+    section = DOCS.read_text().split("## Reported warnings", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^- `([a-z0-9-]+)` —", section, re.M))
+    tags = _cli_warning_tags()
+    assert len(tags) >= 5  # the walk found the literal tags
+    assert (tags | {row.tag for row in QUOTED}) - documented == set()
 
 
 @pytest.mark.parametrize("argv", [

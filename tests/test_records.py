@@ -15,7 +15,7 @@ from framedrag.constants import CONSTANTS, GravSource, PhysicalConstants
 from framedrag.fiber import DipShift, DispersionCoefficients, FiberArms, RefractiveModel
 from framedrag.interference import Wavepacket
 from framedrag.kerr import KerrPoint, MetricComponents, ScanResult
-from framedrag.reference import CheckResult, UnreproducedTarget
+from framedrag.reference import CheckResult, QuotedFigure
 from framedrag.scenario import Scenario
 from framedrag.turntable import EquivalenceResult, TurntableConfig
 
@@ -59,10 +59,14 @@ CASES = [
      "EquivalenceResult(v=2.5e-09, v_approx=2.5e-09, v_leading=2.25e-09)", True),
     (CheckResult, dict(name="null-residual", worst=1e-16, bound=1e-12, detail="max 1e-16"),
      "CheckResult(name='null-residual', worst=1e-16, bound=1e-12, detail='max 1e-16')", True),
-    (UnreproducedTarget, dict(name="speed", quoted="110 m/s", computed=55.0, unit="m/s",
-                              context="fig. 2"),
-     "UnreproducedTarget(name='speed', quoted='110 m/s', computed=55.0, unit='m/s', "
-     "context='fig. 2')", True),
+    (QuotedFigure, dict(name="speed", tag="target-value-unreproduced", quoted="110 m/s",
+                        unit="m/s", commands=("equivalence",), stock=({"point.r": 100.0},),
+                        message="gives {value} {unit}", line="v_equiv_si", per_unit=1.0,
+                        value_of=None, extra={}, context="fig. 2"),
+     "QuotedFigure(name='speed', tag='target-value-unreproduced', quoted='110 m/s', "
+     "unit='m/s', commands=('equivalence',), stock=({'point.r': 100.0},), "
+     "message='gives {value} {unit}', line='v_equiv_si', per_unit=1.0, value_of=None, "
+     "extra={}, context='fig. 2')", False),
     (Scenario, dict(values={"point.r": 6.37e6}), "Scenario(values={'point.r': 6370000.0})",
      False),
 ]

@@ -102,15 +102,15 @@ def test_verify_calls_each_check_once_by_module_name(monkeypatch, capsys):
 
 
 def test_unreproduced_targets_values():
-    targets = {t.name: t for t in reference.unreproduced_targets()}
+    targets = {row.name: row for row in reference.QUOTED if row.value_of is not None}
     assert set(targets) == {"small-source-equivalence-velocity",
                             "dip-residual-timescale"}
     velocity = targets["small-source-equivalence-velocity"]
     assert velocity.quoted == "110 m/s"
-    assert velocity.computed == pytest.approx(1052.3188829887727, rel=1e-12)
+    assert velocity.computed() == pytest.approx(1052.3188829887727, rel=1e-12)
     dip = targets["dip-residual-timescale"]
     assert dip.quoted == "3e-11 s"
-    assert dip.computed == pytest.approx(1.7031512955074023e-27, rel=1e-12)
+    assert dip.computed() == pytest.approx(1.7031512955074023e-27, rel=1e-12)
 
 
 def test_fig1_crossover_radius_frozen():
