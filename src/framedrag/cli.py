@@ -37,10 +37,15 @@ from .scenario import (
 _C = CONSTANTS.c
 _CSV_BLOCK = 4096  # rows rendered per write by _write_table
 
+def _plain(value) -> float:
+    """``value`` as a float with -0.0 read as 0.0, so that every printed zero is ``0``."""
+    return float(value) or 0.0
+
+
 def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
-    return format(float(value), ".17g")
+    return format(_plain(value), ".17g")
 
 
 class RunReport:
@@ -67,10 +72,10 @@ class RunReport:
     def output(self, name: str, value: float, unit: str | None, anchor_name: str) -> None:
         if not math.isfinite(value):
             raise OverflowError(f"{name} = {value!r} is not finite")
+        plain = _plain(value)
         suffix = f" {unit}" if unit else ""
-        self.lines.append(
-            f"{name} = {_fmt(value)}{suffix} [{anchor_name}] (~{float(value):.4g})")
-        self._rows.append((name, float(value)))
+        self.lines.append(f"{name} = {_fmt(value)}{suffix} [{anchor_name}] (~{plain:.4g})")
+        self._rows.append((name, plain))
 
     def warn(self, tag: str, message: str) -> None:
         self._warnings.append(f"WARN {tag}: {message}")
@@ -358,7 +363,7 @@ def cmd_hom(scenario: Scenario, args: argparse.Namespace) -> RunReport:
                   interference.fock_oracle_hom(packet, delta_t, bins=bins),
                   None, "hom-fock-oracle")
     p_zero = interference.hom_coincidence_general(packet, 0.0)
-    report.output("hom_visibility", interference.hom_visibility(p_zero, 0.5),
+    report.output("hom_visibility", interference.hom_visibility(p_zero),
                   None, "hom-visibility")
     return report
 
@@ -371,13 +376,13 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     table = scenario.turntable()
     omega0 = scenario.require("light.omega0")
     sigma = scenario.require("light.sigma")
-    k0, v = model.k0, arms.v
+    v = arms.v
 
-    report.output("n", model.n(k0), None, "refractive-index")
-    report.output("n_prime", model.n_prime(k0), "m", "refractive-index-slope")
-    report.output("n_double_prime", model.n_double_prime(k0), "m^2",
+    n0 = model.n
+    report.output("n", n0, None, "refractive-index")
+    report.output("n_prime", model.n_prime, "m", "refractive-index-slope")
+    report.output("n_double_prime", model.n_double_prime, "m^2",
                   "refractive-index-curvature")
-    n0 = model.n(k0)
     for direction, tag in (("co", "co"), ("counter", "counter")):
         report.output(f"phase_velocity_{tag}",
                       fiber.phase_velocity_moving(n0, v, direction), "c",
@@ -386,11 +391,11 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
                       fiber.effective_lab_velocity(n0, v, direction), "c",
                       "effective-lab-velocity")
         report.output(f"group_velocity_{tag}",
-                      fiber.group_velocity_moving(model, k0, v, direction), "c",
+                      fiber.group_velocity_moving(model, v, direction), "c",
                       "group-velocity-moving")
-        report.output(f"gvd_{tag}", fiber.gvd_moving(model, k0, v, direction), "m",
+        report.output(f"gvd_{tag}", fiber.gvd_moving(model, v, direction), "m",
                       "gvd-moving")
-    coeffs = fiber.dispersion_coefficients(model, k0, v)
+    coeffs = fiber.dispersion_coefficients(model, v)
     report.output("alpha_co", coeffs.alpha_plus, None, "inverse-group-velocity")
     report.output("alpha_counter", coeffs.alpha_minus, None, "inverse-group-velocity")
     report.output("beta_co", coeffs.beta_plus, "m", "beta-coefficient")
@@ -472,7 +477,7 @@ def cmd_fig3(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     # gives 0.5, and hom_coincidence_gaussian catches the (sigma dt)^2 overflow
 
     def block(start: int, stop: int) -> list:
-        omegas = [omega_max * i / (points - 1) + 0.0  # -0.0 -> 0.0 on the first row
+        omegas = [omega_max * i / (points - 1) + 0.0  # table cells skip _fmt: -0.0 -> 0.0
                   for i in range(start, stop)]
         return [omegas, [interference.hom_coincidence_gaussian(
             sigma, turntable.fiber_loop_delay(omega_rot * radius / _C, length))

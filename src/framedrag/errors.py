@@ -14,7 +14,7 @@ A violation raises ``ValueError`` whose message starts with the
 parameter's name (``<name> must be ...``); the command line prints it as
 ``ERROR validation: <name> must be ...`` and exits 2.  ``scenario.PARAMETERS``
 applies the same checks to each config value, named by its key.  Checks
-that belong to one formula (a model's validity window, a horizon) stay with it.
+that belong to one formula (a horizon) stay with it.
 """
 
 from math import inf

@@ -11,7 +11,8 @@ Two distinct "phase velocity" notions coexist and are kept apart:
 
 The dispersion chain (group velocity, group-velocity dispersion, the
 alpha/beta expansion coefficients) is built on the effective lab velocity
-with omega(k) = k (1-v^2)/(n(k) -+ v); its curvature in k is
+with omega(k) = k (1-v^2)/(n(k) -+ v); its curvature in k, taken at the
+carrier k0, is
 
     d2omega/dk2 = (1-v^2) [ -(2 n' + k n'')/(n -+ v)^2
                             + 2 k n'^2/(n -+ v)^3 ].
@@ -49,10 +50,10 @@ __all__ = [
 
 @frozen
 class RefractiveModel:
-    """Index model n(k) = A/k + B with analytic derivatives.
+    """Index model n(k) = A/k + B with analytic derivatives, read at ``k0``.
 
-    ``k0`` is the reference wavenumber; the model is valid on the window
-    [k0/10, 10 k0], a decade either side of it.
+    ``k0`` is the carrier wavenumber: the dispersion chain needs the model
+    and its derivatives there only.
     """
 
     A: float
@@ -64,9 +65,8 @@ class RefractiveModel:
         check_at_least(self.B, 1.0, "B")
         check_positive(self.k0, "k0")
         check_at_least(self.A / self.k0, 0.0, "A / k0")  # n(k0) = A/k0 + B stays finite
-        low = self.k0 / 10.0  # the derivatives divide by k^2 and k^3 down to k0/10
-        if not low * low * low > 0.0:
-            raise ValueError(f"k0 must be large enough that (k0/10)^3 > 0, got {self.k0!r}")
+        if not self.k0 * self.k0 * self.k0 > 0.0:  # the derivatives divide by k0^2 and k0^3
+            raise ValueError(f"k0 must be large enough that k0^3 > 0, got {self.k0!r}")
 
     @classmethod
     def fused_silica(cls) -> "RefractiveModel":
@@ -78,24 +78,20 @@ class RefractiveModel:
         """Dispersionless model n(k) = n."""
         return cls(A=0.0, B=n, k0=k0)
 
-    def _check_window(self, k: float) -> None:
-        k_min, k_max = self.k0 / 10.0, self.k0 * 10.0
-        if not k_min <= k <= k_max:
-            raise ValueError(f"k = {k!r} outside the model validity window [{k_min!r}, {k_max!r}]")
+    @property
+    def n(self) -> float:
+        """n(k0) = A/k0 + B."""
+        return self.A / self.k0 + self.B
 
-    def n(self, k: float) -> float:
-        self._check_window(k)
-        return self.A / k + self.B
+    @property
+    def n_prime(self) -> float:
+        """dn/dk = -A/k0^2 (metres)."""
+        return -self.A / (self.k0 * self.k0)
 
-    def n_prime(self, k: float) -> float:
-        """dn/dk = -A/k^2 (metres)."""
-        self._check_window(k)
-        return -self.A / (k * k)
-
-    def n_double_prime(self, k: float) -> float:
-        """d2n/dk2 = 2A/k^3 (metres squared)."""
-        self._check_window(k)
-        return 2.0 * self.A / (k * k * k)
+    @property
+    def n_double_prime(self) -> float:
+        """d2n/dk2 = 2A/k0^3 (metres squared)."""
+        return 2.0 * self.A / (self.k0 * self.k0 * self.k0)
 
 
 @frozen
@@ -135,31 +131,32 @@ def effective_lab_velocity(n: float, v: float, direction: str) -> float:
     return (1.0 - v * v) / (n - s * v)
 
 
-def group_velocity_moving(model: RefractiveModel, k: float, v: float, direction: str) -> float:
-    """Group velocity v_p (1 - k n'(k)/(n -+ v)) in the moving medium.
+def group_velocity_moving(model: RefractiveModel, v: float, direction: str) -> float:
+    """Group velocity v_p (1 - k0 n'(k0)/(n -+ v)) in the moving medium at k0.
 
-    The dispersive factor multiplies k n'(k) (dimensionless), so a
+    The dispersive factor multiplies k0 n'(k0) (dimensionless), so a
     constant-index model returns the phase velocity exactly and a central
-    difference of omega(k) = k v_p(k) reproduces the closed form.
+    difference of omega(k) = k v_p(k) about k0 reproduces the closed form.
     """
     s = direction_sign(direction)
-    n = model.n(k)
+    n = model.n
     v_p = effective_lab_velocity(n, v, direction)
-    return v_p * (1.0 - k * model.n_prime(k) / (n - s * v))
+    return v_p * (1.0 - model.k0 * model.n_prime / (n - s * v))
 
 
-def gvd_moving(model: RefractiveModel, k: float, v: float, direction: str) -> float:
-    """Group-velocity dispersion d2omega/dk2 in the moving medium.
+def gvd_moving(model: RefractiveModel, v: float, direction: str) -> float:
+    """Group-velocity dispersion d2omega/dk2 in the moving medium at k0.
 
-    Evaluates (1-v^2) [-(2n' + k n'')/(n -+ v)^2 + 2 k n'^2/(n -+ v)^3],
-    the exact curvature of omega(k) = k (1-v^2)/(n(k) -+ v); vanishes for
-    a constant index.
+    Evaluates (1-v^2) [-(2n' + k n'')/(n -+ v)^2 + 2 k n'^2/(n -+ v)^3]
+    at k = k0, the exact curvature of omega(k) = k (1-v^2)/(n(k) -+ v);
+    vanishes for a constant index.
     """
     s = direction_sign(direction)
     check_speed(v)
-    n = model.n(k)
-    n_p = model.n_prime(k)
-    n_pp = model.n_double_prime(k)
+    k = model.k0
+    n = model.n
+    n_p = model.n_prime
+    n_pp = model.n_double_prime
     denom = n - s * v
     try:
         return (1.0 - v * v) * (
@@ -193,15 +190,15 @@ class DispersionCoefficients:
         return self.beta_plus + self.beta_minus
 
 
-def dispersion_coefficients(model: RefractiveModel, k: float, v: float) -> DispersionCoefficients:
-    """alpha/beta coefficients for both directions at wavenumber k.
+def dispersion_coefficients(model: RefractiveModel, v: float) -> DispersionCoefficients:
+    """alpha/beta coefficients for both directions at the carrier wavenumber k0.
 
     beta = -(1/2) (d2omega/dk2) / v_g^3, the standard inversion of the
     omega(k) expansion.
     """
     def alpha_beta(direction: str) -> tuple[float, float]:
-        v_g = group_velocity_moving(model, k, v, direction)
-        return 1.0 / v_g, -0.5 * gvd_moving(model, k, v, direction) / v_g**3
+        v_g = group_velocity_moving(model, v, direction)
+        return 1.0 / v_g, -0.5 * gvd_moving(model, v, direction) / v_g**3
 
     (alpha_plus, beta_plus), (alpha_minus, beta_minus) = alpha_beta("co"), alpha_beta("counter")
     return DispersionCoefficients(alpha_plus, alpha_minus, beta_plus, beta_minus)
@@ -214,7 +211,7 @@ def fiber_phase_difference(arms: FiberArms, omega0: float) -> float:
     is exactly the vacuum Sagnac phase for loop length L.
     """
     check_positive(omega0, "omega0")
-    n = arms.model.n(arms.model.k0)
+    n = arms.model.n
     mismatch = omega0 * arms.delta_length * n / (1.0 - arms.v**2)
     return sagnac_phase(omega0, arms.length, arms.v) + mismatch
 
@@ -237,7 +234,7 @@ def hom_dip_shift(arms: FiberArms) -> DipShift:
     small-v form 2 dL n v^2 is reported alongside.
     """
     v = arms.v
-    n = arms.model.n(arms.model.k0)
+    n = arms.model.n
     static = 2.0 * arms.delta_length * n
     gamma2 = 1.0 - v * v
     total = fiber_loop_delay(v, arms.length) + static / gamma2 - static
@@ -269,7 +266,7 @@ def corrected_group_phase(omega0: float, v: float, length: float,
     check_positive(length, "length")
     check_speed(v)
     gamma2 = 1.0 - v * v
-    correction = model.n_prime(model.k0) * v / gamma2 + 0.0  # v = 0 gives 0, not -0
+    correction = model.n_prime * v / gamma2
     phase = 4.0 * omega0 * v * length / gamma2 * (1.0 + correction)
     return phase, correction
 

@@ -276,13 +276,11 @@ def hom_coincidence_general(packet: Wavepacket, delta_t: float) -> float:
     return 0.5 - 0.5 * ratio2
 
 
-def hom_visibility(p0: float, pmax: float) -> float:
-    """Dip visibility 1 - p0/pmax."""
-    if pmax == 0.0:
-        raise ValueError("visibility undefined for pmax = 0")
-    if not 0.0 <= p0 <= pmax <= 0.5:
-        raise ValueError(f"need 0 <= p0 <= pmax <= 0.5, got p0={p0!r}, pmax={pmax!r}")
-    return 1.0 - p0 / pmax
+def hom_visibility(p0: float) -> float:
+    """Dip visibility 1 - p0/P_max, with P_max = 1/2 the coincidence far from the dip."""
+    if not 0.0 <= p0 <= 0.5:
+        raise ValueError(f"need 0 <= p0 <= 0.5, got p0={p0!r}")
+    return 1.0 - p0 / 0.5
 
 
 def fock_grid(packet: Wavepacket, bins: int = 1024) -> tuple[np.ndarray, np.ndarray]:

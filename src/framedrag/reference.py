@@ -20,7 +20,7 @@ from . import fiber, interference, kerr, turntable
 from ._record import frozen
 from .constants import CONSTANTS, GravSource
 from .interference import Wavepacket
-from .scenario import Scenario
+from .scenario import BLACK_HOLE_DEFAULTS, Scenario
 
 __all__ = [
     "CheckResult",
@@ -68,7 +68,6 @@ _FORM = "{label} {worst:.3e} vs bound {bound:.3e} over {count} points"
 _FOCK_BINS = 1024  # the Fock-oracle grid checked against quadrature
 _UNITARITY_BINS = 512  # the grid whose pair probabilities must sum to one
 _TWO_WAY_SAMPLES, _TWO_WAY_SEED = 100, 20250814  # random draws per two-way check
-_FIG1_SIGMA = 3.5e3  # rad/m, the width of the default fig1 scan
 
 
 def _worst(values) -> float:
@@ -351,23 +350,22 @@ def check_silica_derivatives() -> CheckResult:
     import mpmath as mp
 
     model = fiber.RefractiveModel.fused_silica()
-    k0 = model.k0
     # (relative deviation, tolerance) pairs; first derivative gets 1e-8,
     # curvature-based quantities 1e-6
     ratios: list[float] = []
     with mp.workdps(40):
-        a_mp, b_mp, k_mp = mp.mpf(model.A), mp.mpf(model.B), mp.mpf(k0)
+        a_mp, b_mp, k_mp = mp.mpf(model.A), mp.mpf(model.B), mp.mpf(model.k0)
 
         def n_mp(k):
             return a_mp / k + b_mp
 
         h = mp.mpf(1.0)
         fd1 = (n_mp(k_mp + h) - n_mp(k_mp - h)) / (2 * h)
-        ratios.append(float(abs(fd1 - model.n_prime(k0)) / abs(fd1)) / 1.0e-8)
+        ratios.append(float(abs(fd1 - model.n_prime) / abs(fd1)) / 1.0e-8)
 
         h2 = mp.mpf(1.0e3)
         fd2 = (n_mp(k_mp + h2) - 2 * n_mp(k_mp) + n_mp(k_mp - h2)) / (h2 * h2)
-        ratios.append(float(abs(fd2 - model.n_double_prime(k0)) / abs(fd2)) / 1.0e-6)
+        ratios.append(float(abs(fd2 - model.n_double_prime) / abs(fd2)) / 1.0e-6)
 
         for v, sign in ((0.0, 1), (4.1916900439033636e-9, 1), (1.0e-4, -1)):
             v_mp = mp.mpf(v)
@@ -378,7 +376,7 @@ def check_silica_derivatives() -> CheckResult:
             fd_curv = (omega_mp(k_mp + h2) - 2 * omega_mp(k_mp)
                        + omega_mp(k_mp - h2)) / (h2 * h2)
             direction = "co" if sign > 0 else "counter"
-            analytic = fiber.gvd_moving(model, k0, v, direction)
+            analytic = fiber.gvd_moving(model, v, direction)
             ratios.append(float(abs(fd_curv - analytic) / abs(fd_curv)) / 1.0e-6)
     return _result("silica-derivatives", ratios, 1.0, label="max dev/tolerance",
                    form="{label} {worst:.3e} over {count} derivatives")
@@ -483,5 +481,5 @@ def fig1_crossover_radius() -> float:
     default grid (the quoted near-horizon visibility shape is unreproduced
     with the stated spectral width).
     """
-    a = 7.5e3  # m, the default fig1 source's a (r_s = 3.0e4 m)
-    return 1.0 + 4.0 * math.pi * a * _FIG1_SIGMA / math.sqrt(math.log(2.0))
+    a, sigma = BLACK_HOLE_DEFAULTS["source.a"], BLACK_HOLE_DEFAULTS["light.sigma"]
+    return 1.0 + 4.0 * math.pi * a * sigma / math.sqrt(math.log(2.0))

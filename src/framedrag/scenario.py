@@ -251,11 +251,11 @@ class Scenario:
         r_t = self.require("turntable.radius")
         windings = self.get("turntable.windings", 0)
         if "turntable.velocity" in self.values:
-            v = self.values["turntable.velocity"] + 0.0  # -0.0 -> 0.0, so no output prints -0
+            v = self.values["turntable.velocity"]
             check_at_least(v * CONSTANTS.c / r_t, 0.0, "turntable.velocity * c / turntable.radius")
             return TurntableConfig.from_velocity(r_t, v, windings=windings)
         if "turntable.omega" in self.values:
-            omega = self.values["turntable.omega"] + 0.0  # -0.0 -> 0.0, as for the velocity
+            omega = self.values["turntable.omega"]
             check_speed(omega * r_t / CONSTANTS.c, "turntable.omega * turntable.radius / c")
             return TurntableConfig.from_angular_frequency(r_t, omega, windings=windings)
         raise ValueError("missing turntable.omega or turntable.velocity")

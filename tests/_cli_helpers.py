@@ -1,6 +1,17 @@
-"""CLI helpers shared by test_cli.py and test_acceptance.py."""
+"""CLI helpers shared by the tests that run the command line in process."""
+
+import contextlib
+import io
 
 from framedrag import cli
+
+
+def run(argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)``, each stream captured on its own."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_cli(capsys, *argv):

@@ -255,7 +255,7 @@ def test_criterion_10_weak_field_envelope():
 def test_criterion_11_silica_derivatives():
     check = reference.check_silica_derivatives()
     silica = fiber.RefractiveModel.fused_silica()
-    n = silica.n(8.0e6)
+    n = silica.n
     ok_n = within(n, 1.4525, 1.0e-12)
     record(11, "silica-derivatives", check.passed and ok_n,
            f"n(k0) = {n!r}; {check.detail}")

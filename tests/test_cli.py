@@ -1,7 +1,5 @@
 """End-to-end command-line runs: exit codes, determinism, warnings, CSV."""
 
-import contextlib
-import io
 import math
 import os
 import re
@@ -15,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _cli_helpers import parse_report, run_cli
+from _cli_helpers import parse_report, run, run_cli
 from framedrag import cli, kerr
 from framedrag.constants import CONSTANTS, GravSource
 from framedrag.interference import Wavepacket, hom_coincidence_gaussian
@@ -713,7 +711,7 @@ def test_out_of_range_value_is_refused_wherever_it_is_read(capsys, argv, message
     assert err == f"ERROR validation: {message}\n"
 
 
-def test_negative_zero_rate_reports_like_zero(capsys):
+def test_negative_zero_rate_reports_like_zero(capsys, tmp_path):
     reports = []
     for rate in ("turntable.omega=0", "turntable.omega=-0", "turntable.velocity=-0.0"):
         code, out, _ = run_cli(capsys, "fiber", "--set", rate)
@@ -722,6 +720,27 @@ def test_negative_zero_rate_reports_like_zero(capsys):
     assert reports[0] == reports[1] == reports[2]
     assert not [line for line in reports[0] if " = -0 " in line]
     assert "sagnac_phase = 0 rad [sagnac-phase] (~0)" in reports[0]
+    # outputs that compute a -0.0 print 0 in the value, the (~...) column and the CSV
+    path = tmp_path / "out.csv"
+    for argv in (["kerr", "--set", "source.a=0"],
+                 ["kerr", "--set", "source.mass=1", "--set", "source.angular_momentum=0"],
+                 ["fiber", "--set", "medium.a=0"],
+                 ["fiber", "--set", "arms.delta_length=-0.0"]):
+        code, out, _ = run_cli(capsys, *argv, "--csv", str(path))
+        assert code == 0
+        assert not re.findall(r".*[ ~,]-0[ )\n].*", out + path.read_text()), argv
+
+
+@pytest.mark.parametrize("k0", ["1e-107", "2e-108"])
+def test_k0_whose_cube_is_subnormal(capsys, k0):
+    # k0^3 > 0 admits both; d2n/dk2 = 2A/k0^3 overflows, and only fiber prints it
+    code, out, err = run_cli(capsys, "fiber", "--set", f"medium.k0={k0}")
+    assert code == 2 and out == ""
+    assert err == ("ERROR overflow: these inputs leave the float64 range: "
+                   "n_double_prime = inf is not finite\n")
+    code, out, err = run_cli(capsys, "feasibility", "--set", f"medium.k0={k0}")
+    assert code == 0 and err == ""
+    assert all(math.isfinite(value) for value in parse_report(out).values())
 
 
 # --- random overrides: finite values at exit 0, a named error at exit 2 ----------
@@ -780,10 +799,7 @@ def test_random_overrides_give_finite_values_or_a_named_error(command, overrides
                               for arg in ("--set", f"{key}={value!r}")]
     if command in ("fig1", "fig3"):
         argv += ["--points", "5"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = run(argv)
     assert code in (0, 2), argv
     if code == 0:
         if command in ("fig1", "fig3"):

@@ -36,27 +36,16 @@ def loop_arms(model, delta_length=0.01):
 # --- refractive model ---------------------------------------------------------
 
 def test_silica_reference_values_exact():
-    assert SILICA.n(8.0e6) == pytest.approx(1.4525, rel=1e-12)
-    assert SILICA.n_prime(8.0e6) == pytest.approx(-1.5625e-9, rel=1e-12)
-    assert SILICA.n_double_prime(8.0e6) == pytest.approx(3.90625e-16, rel=1e-12)
+    assert SILICA.n == pytest.approx(1.4525, rel=1e-12)
+    assert SILICA.n_prime == pytest.approx(-1.5625e-9, rel=1e-12)
+    assert SILICA.n_double_prime == pytest.approx(3.90625e-16, rel=1e-12)
 
 
 def test_constant_model_is_dispersionless():
     model = RefractiveModel.constant(1.453)
-    assert model.n(8.0e6) == 1.453
-    assert model.n_prime(3.0e6) == 0.0
-    assert model.n_double_prime(3.0e6) == 0.0
-
-
-def test_model_validity_window():
-    with pytest.raises(ValueError, match="window"):
-        SILICA.n(9.0e7)  # beyond the default decade above k0
-    with pytest.raises(ValueError, match="window"):
-        SILICA.n_prime(1.0e5)
-    model = RefractiveModel(A=0.0, B=1.5, k0=1.0e6)
-    assert model.n(1.0e5) == model.n(1.0e7) == 1.5  # the window is closed
-    with pytest.raises(ValueError, match="window"):
-        model.n(9.9e4)
+    assert model.n == 1.453
+    assert model.n_prime == 0.0
+    assert model.n_double_prime == 0.0
 
 
 def test_model_validation():
@@ -75,12 +64,13 @@ def test_model_rejects_an_infinite_index():
 
 
 def test_model_rejects_a_k0_whose_derivatives_divide_by_zero():
-    # k^2 underflowed to 0 on the window, so dn/dk = -A/k^2 raised ZeroDivisionError
-    with pytest.raises(ValueError, match=r"^k0 must be large enough that \(k0/10\)\^3 > 0, "
-                                         r"got 1e-250$"):
-        RefractiveModel(A=0.0, B=1.5, k0=1e-250)
-    model = RefractiveModel(A=1.0, B=1.5, k0=1e-100)  # the smallest cube is still > 0
-    assert model.n_double_prime(1e-101) == pytest.approx(2e303)
+    # k0^3 underflows to 0 below about 1.7e-108, where d2n/dk2 = 2A/k0^3 divides by zero
+    for k0 in (1e-250, 1e-108):
+        with pytest.raises(ValueError,
+                           match=rf"^k0 must be large enough that k0\^3 > 0, got {k0!r}$"):
+            RefractiveModel(A=0.0, B=1.5, k0=k0)
+    model = RefractiveModel(A=1e-300, B=1.5, k0=2e-108)  # the cube is still > 0
+    assert 0.0 < model.n_double_prime < math.inf
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -151,40 +141,40 @@ def test_velocity_validation():
 def test_constant_model_group_equals_lab_velocity():
     model = RefractiveModel.constant(1.453)
     for direction in ("co", "counter"):
-        assert group_velocity_moving(model, 8.0e6, 0.2, direction) == \
+        assert group_velocity_moving(model, 0.2, direction) == \
             effective_lab_velocity(1.453, 0.2, direction)
-        assert gvd_moving(model, 8.0e6, 0.2, direction) == 0.0
+        assert gvd_moving(model, 0.2, direction) == 0.0
 
 
 @pytest.mark.parametrize("v", [0.0, 1.0e-4])
 @pytest.mark.parametrize("direction", ["co", "counter"])
 def test_group_velocity_matches_finite_difference(v, direction):
     def omega(k):
-        return k * effective_lab_velocity(SILICA.n(k), v, direction)
+        return k * effective_lab_velocity(SILICA.A / k + SILICA.B, v, direction)
 
-    k0, h = 8.0e6, 1.0
+    k0, h = SILICA.k0, 1.0
     fd = (omega(k0 + h) - omega(k0 - h)) / (2.0 * h)
-    assert group_velocity_moving(SILICA, k0, v, direction) == pytest.approx(fd, rel=1e-8)
+    assert group_velocity_moving(SILICA, v, direction) == pytest.approx(fd, rel=1e-8)
 
 
 @pytest.mark.parametrize("v", [0.0, 0.1])
 @pytest.mark.parametrize("direction,sign", [("co", -1.0), ("counter", +1.0)])
 def test_gvd_matches_rational_form(v, direction, sign):
     # for n = A/k + B the curvature collapses to 2 A^2 (1-v^2)/(A + (B -+ v) k)^3
-    k = 8.0e6
+    k = SILICA.k0
     closed = 2.0 * SILICA.A**2 * (1.0 - v * v) / (SILICA.A + (SILICA.B + sign * v) * k) ** 3
-    assert gvd_moving(SILICA, k, v, direction) == pytest.approx(closed, rel=1e-12)
+    assert gvd_moving(SILICA, v, direction) == pytest.approx(closed, rel=1e-12)
 
 
 def test_gvd_true_curvature_value():
     # the naive -n'/n^2 reading would give ~7.4e-10 here; the curvature of
     # omega(k) = k v_p(k) is two orders of magnitude smaller
-    assert gvd_moving(SILICA, 8.0e6, 0.0, "co") == pytest.approx(1.2747106418315242e-11,
-                                                                 rel=1e-12)
+    assert gvd_moving(SILICA, 0.0, "co") == pytest.approx(1.2747106418315242e-11,
+                                                         rel=1e-12)
 
 
 def test_dispersion_coefficients_at_loop_speed():
-    coeffs = dispersion_coefficients(SILICA, 8.0e6, V_LOOP)
+    coeffs = dispersion_coefficients(SILICA, V_LOOP)
     assert coeffs.alpha_plus == pytest.approx(1.4401066510987173, rel=1e-12)
     assert coeffs.alpha_minus == pytest.approx(1.4401066594814873, rel=1e-12)
     assert coeffs.delta_alpha == pytest.approx(-8.382770033676934e-9, rel=1e-7)
@@ -192,7 +182,7 @@ def test_dispersion_coefficients_at_loop_speed():
 
 
 def test_dispersion_coefficients_symmetric_at_rest():
-    coeffs = dispersion_coefficients(SILICA, 8.0e6, 0.0)
+    coeffs = dispersion_coefficients(SILICA, 0.0)
     assert coeffs.delta_alpha == 0.0
     assert coeffs.beta_plus == coeffs.beta_minus
 
@@ -200,9 +190,9 @@ def test_dispersion_coefficients_symmetric_at_rest():
 def test_delta_alpha_leading_order():
     # d(alpha)/dv at v = 0 is -n (n - 2 k n')/(n - k n')^2 per direction
     v = 1.0e-3
-    n, knp = SILICA.n(8.0e6), 8.0e6 * SILICA.n_prime(8.0e6)
+    n, knp = SILICA.n, SILICA.k0 * SILICA.n_prime
     slope = -n * (n - 2.0 * knp) / (n - knp) ** 2
-    coeffs = dispersion_coefficients(SILICA, 8.0e6, v)
+    coeffs = dispersion_coefficients(SILICA, v)
     assert coeffs.delta_alpha == pytest.approx(2.0 * v * slope, rel=3e-6)
 
 
@@ -281,13 +271,13 @@ def test_coherence_validation():
 def test_downconverted_rejects_an_infinite_phase_bound():
     # sigma 1e300 makes (|da| 12 sigma + |bs| (12 sigma)^2) L overflow: cos(inf)
     # inside the integrand would be a bare math domain error
-    coeffs = dispersion_coefficients(SILICA, SILICA.k0, V_LOOP)
+    coeffs = dispersion_coefficients(SILICA, V_LOOP)
     with pytest.raises(ValueError, match="phase bound inf rad"):
         downconverted_coincidence(1.0e300, coeffs, 1.0e4)
 
 
 def test_downconverted_frozen_at_loop_defaults():
-    coeffs = dispersion_coefficients(SILICA, 8.0e6, V_LOOP)
+    coeffs = dispersion_coefficients(SILICA, V_LOOP)
     sigma = 4000.0 * math.pi
     closed = downconverted_coincidence_closed(sigma, coeffs.delta_alpha, 1.0e4)
     ruled = downconverted_coincidence(sigma, coeffs, 1.0e4)
@@ -312,6 +302,6 @@ def test_quadratic_phase_cancels_out():
 def test_downconverted_validation():
     with pytest.raises(ValueError):
         downconverted_coincidence_closed(0.0, 1.0e-9, 1.0e4)
-    coeffs = dispersion_coefficients(SILICA, 8.0e6, 0.0)
+    coeffs = dispersion_coefficients(SILICA, 0.0)
     with pytest.raises(ValueError):
         downconverted_coincidence(3.0e3, coeffs, -1.0)

@@ -14,9 +14,7 @@ Re-record, only at a commit whose outputs are known to be right:
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import re
 import sys
@@ -24,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from framedrag import cli
+from _cli_helpers import run
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
@@ -43,23 +41,20 @@ def _mask(text: str) -> str:
 
 
 def _run(argv: list[str], csv_path: Path | None) -> dict:
-    out, err = io.StringIO(), io.StringIO()
     extra = [] if csv_path is None else ["--csv", str(csv_path)]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv + extra)
-    stdout = out.getvalue()
+    rc, stdout, stderr = run(argv + extra)
     masked = argv[0] == "verify"
     if masked:
         stdout = _mask(stdout)
     verbatim = argv[0] not in FIGURES and csv_path is None  # report text, once
-    run = {"rc": rc, "stdout": stdout if verbatim else _digest(stdout.encode("utf-8")),
-           "stderr": err.getvalue()}
+    result = {"rc": rc, "stdout": stdout if verbatim else _digest(stdout.encode("utf-8")),
+              "stderr": stderr}
     if csv_path is not None:
         data = csv_path.read_bytes() if csv_path.exists() else None
         if masked and data is not None:
             data = _mask(data.decode("utf-8")).encode("utf-8")
-        run["csv"] = None if data is None else _digest(data)
-    return run
+        result["csv"] = None if data is None else _digest(data)
+    return result
 
 
 def _inputs() -> list[tuple[str, list[str]]]:

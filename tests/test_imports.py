@@ -21,19 +21,17 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent  # holds _cli_helpers
+SRC = TESTS.parent / "src"
 HEAVY = ("numpy", "scipy", "mpmath")
 STDLIB_HEAVY = ("dataclasses", "inspect", "pathlib", "typing")
 
 # Prints [exit code or null, sorted watched top-level packages in sys.modules].
 PROBE = """
-import contextlib, io, json, sys
-from framedrag import cli
+import json, sys
+from _cli_helpers import run
 argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-code = None
-if argv is not None:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
+code = None if argv is None else run(argv)[0]
 loaded = sorted({name.split(".")[0] for name in sys.modules} & set(watched))
 print(json.dumps([code, loaded]))
 """
@@ -42,7 +40,8 @@ print(json.dumps([code, loaded]))
 def _probe(argv, *flags, watched=HEAVY):
     """Run ``argv`` through ``cli.main`` in ``python <flags>``; its code and loaded ``watched``."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(TESTS),
+                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *flags, "-c", PROBE, json.dumps(argv),
                            json.dumps(watched)],
                           capture_output=True, text=True, env=env, check=True)

@@ -143,12 +143,13 @@ def test_two_point_spectrum_beats_exactly():
 
 
 def test_hom_visibility():
-    assert hom_visibility(0.0, 0.5) == 1.0
-    assert hom_visibility(0.25, 0.5) == 0.5
-    with pytest.raises(ValueError):
-        hom_visibility(0.3, 0.2)
-    with pytest.raises(ValueError):
-        hom_visibility(0.0, 0.0)
+    assert hom_visibility(0.0) == 1.0
+    assert hom_visibility(0.25) == 0.5
+    assert hom_visibility(0.5) == 0.0
+    with pytest.raises(ValueError, match="0 <= p0 <= 0.5"):
+        hom_visibility(0.6)
+    with pytest.raises(ValueError, match="0 <= p0 <= 0.5"):
+        hom_visibility(-0.1)
 
 
 # --- Fock oracle and its kernel ----------------------------------------------
@@ -432,7 +433,7 @@ def test_loaded_narrowband_spectra_have_zero_coincidence_at_zero_delay(tmp_path)
         with pytest.warns(SpectrumNormalizationWarning):
             packet = load_spectrum(path)
         assert hom_coincidence_general(packet, 0.0) == 0.0
-        assert hom_visibility(hom_coincidence_general(packet, 0.0), 0.5) == 1.0
+        assert hom_visibility(hom_coincidence_general(packet, 0.0)) == 1.0
         assert 0.0 <= hom_coincidence_general(packet, 1e-12) <= 0.5
 
 

@@ -15,8 +15,6 @@ Re-record, only at a commit whose outputs are known to be right:
 """
 
 import collections
-import contextlib
-import io
 import json
 import math
 import sys
@@ -27,7 +25,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from framedrag import cli, fiber, interference, reference
+from _cli_helpers import run
+from framedrag import fiber, interference, reference
 from framedrag.interference import Wavepacket
 
 BITS = Path(__file__).with_name("quadrature_bits.json")
@@ -117,8 +116,7 @@ def _count_quad_calls(monkeypatch, argv: list[str]) -> collections.Counter:
         return real(func, a, b, *args, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", counting)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
+    assert run(argv)[0] == 0
     return calls
 
 
@@ -162,7 +160,7 @@ def test_downconverted_integrand_runs_once_per_abs_w_and_is_even(monkeypatch):
     calls = [(float.fromhex(row[0]), fiber.DispersionCoefficients(*_floats(row[1:5])),
               float.fromhex(row[5])) for row in DATA["downconverted"]["rows"]]
     model = fiber.RefractiveModel.fused_silica()
-    calls.append((4000.0 * math.pi, fiber.dispersion_coefficients(model, model.k0, 4.19e-9),
+    calls.append((4000.0 * math.pi, fiber.dispersion_coefficients(model, 4.19e-9),
                   1.0e4))
     mirrored = 0
     for sigma, coeffs, length in calls:

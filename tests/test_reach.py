@@ -13,15 +13,13 @@ Entering a function is necessary for a check to cover it, not sufficient:
 the check still needs a route independent of the function it checks.
 """
 
-import contextlib
-import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from framedrag import cli
+from _cli_helpers import run
 
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="needs code.co_qualname")
 
@@ -64,12 +62,11 @@ def _entered(argvs: list[list[str]]) -> set[str]:
             seen.add(f"{module}.{frame.f_code.co_qualname}")
 
     for argv in argvs:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            sys.setprofile(probe)
-            try:
-                cli.main(argv)
-            finally:
-                sys.setprofile(None)
+        sys.setprofile(probe)
+        try:
+            run(argv)
+        finally:
+            sys.setprofile(None)
     return seen
 
 

@@ -15,14 +15,13 @@ exit codes.  Input echoes, report lines and figure table columns are
 compared; WARN lines by their tags.
 """
 
-import contextlib
-import io
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from _cli_helpers import run
 from framedrag import cli
 from framedrag.scenario import PARAMETERS, Scenario
 
@@ -47,13 +46,6 @@ STOCK_WARNINGS = {
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
 CASES = [case for case in GOLDEN if case["argv"][0] != "verify"]
-
-
-def _run(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
-    return rc, out.getvalue(), err.getvalue()
 
 
 def _scaled_argv(argv: list[str]) -> list[str]:
@@ -100,8 +92,8 @@ def _tags(*texts: str) -> set[str]:
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_printed_values_scale_with_the_length_unit(case):
-    rc, out, err = _run(case["argv"])
-    scaled_rc, scaled_out, scaled_err = _run(_scaled_argv(case["argv"]))
+    rc, out, err = run(case["argv"])
+    scaled_rc, scaled_out, scaled_err = run(_scaled_argv(case["argv"]))
     assert rc == scaled_rc == case["plain"]["rc"], (err, scaled_err)
     parse = _columns if case["argv"][0] in ("fig1", "fig3") else _values
     before, after = parse(out), parse(scaled_out)

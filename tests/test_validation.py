@@ -22,7 +22,7 @@ HOLE = GravSource(r_s=3.0e4, a=7.5e3)
 POINT = KerrPoint(source=SOURCE, r=6.37e6)
 SILICA = RefractiveModel.fused_silica()
 ARMS = FiberArms(length=1.0e4, delta_length=0.01, model=SILICA, v=4.2e-9)
-COEFFS = fiber.dispersion_coefficients(SILICA, 8.0e6, 4.2e-9)
+COEFFS = fiber.dispersion_coefficients(SILICA, 4.2e-9)
 PACKET = Wavepacket.gaussian(2.0e6, 3.5e3)
 
 BAD = {
@@ -118,10 +118,9 @@ CASES = [
     (fiber.phase_velocity_moving, dict(n=1.5, v=0.1, direction="co"), "v", "speed"),
     (fiber.effective_lab_velocity, dict(n=1.5, v=0.1, direction="co"), "n", "at-least-1"),
     (fiber.effective_lab_velocity, dict(n=1.5, v=0.1, direction="co"), "v", "speed"),
-    (fiber.group_velocity_moving, dict(model=SILICA, k=8.0e6, v=0.1, direction="co"), "v",
-     "speed"),
-    (fiber.gvd_moving, dict(model=SILICA, k=8.0e6, v=0.1, direction="co"), "v", "speed"),
-    (fiber.dispersion_coefficients, dict(model=SILICA, k=8.0e6, v=0.1), "v", "speed"),
+    (fiber.group_velocity_moving, dict(model=SILICA, v=0.1, direction="co"), "v", "speed"),
+    (fiber.gvd_moving, dict(model=SILICA, v=0.1, direction="co"), "v", "speed"),
+    (fiber.dispersion_coefficients, dict(model=SILICA, v=0.1), "v", "speed"),
     (fiber.fiber_phase_difference, dict(arms=ARMS, omega0=8.0e6), "omega0", "positive"),
     (fiber.coherence_length_required, dict(loop_length=1.0, omega_rot=1.0, radius=1.0),
      "loop_length", "positive"),
@@ -183,8 +182,8 @@ def test_turntable_from_velocity_rejects_an_overflowing_rate():
     (kerr.null_residual, (POINT,)),
     (fiber.phase_velocity_moving, (1.5, 0.1)),
     (fiber.effective_lab_velocity, (1.5, 0.1)),
-    (fiber.group_velocity_moving, (SILICA, 8.0e6, 0.1)),
-    (fiber.gvd_moving, (SILICA, 8.0e6, 0.1)),
+    (fiber.group_velocity_moving, (SILICA, 0.1)),
+    (fiber.gvd_moving, (SILICA, 0.1)),
 ], ids=lambda item: getattr(item, "__name__", ""))
 def test_direction_is_co_or_counter(fn, args):
     fn(*args, "counter")
