@@ -6,6 +6,10 @@ oracle) or asserts a structural identity.  The checks are callables so
 tests can inject tampered implementations and confirm the suite actually
 catches them.
 
+``CHECKS`` is the table of checks, in the order ``verify`` prints them.  A
+check's name, bound and margin label are written once, in the ``_check``
+line above its ``check_*`` function, which returns its deviations.
+
 ``QUOTED`` lists the quoted figures that the printed formulas do not
 reproduce, with their stock inputs; the commands and ``verify`` flag them
 instead of silently dropping or "fixing" them.
@@ -13,6 +17,7 @@ instead of silently dropping or "fixing" them.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Mapping, Sequence
 
@@ -22,30 +27,8 @@ from .constants import CONSTANTS, GravSource
 from .interference import Wavepacket
 from .scenario import BLACK_HOLE_DEFAULTS, Scenario
 
-__all__ = [
-    "CheckResult",
-    "QuotedFigure",
-    "QUOTED",
-    "run_all_checks",
-    "fig1_crossover_radius",
-    "check_null_residual",
-    "check_weak_vs_full",
-    "check_frame_drag_asymmetry",
-    "check_dispersion_cancellation",
-    "check_hom_closed_vs_quadrature",
-    "check_single_photon_closed_vs_quadrature",
-    "check_fock_vs_quadrature",
-    "check_fock_unitarity",
-    "check_visibility_exponent_ratio",
-    "check_two_way_turntable",
-    "check_two_way_kerr",
-    "check_equivalence_closure",
-    "check_timeshift_metric_consistency",
-    "check_downconverted_closed_vs_quadrature",
-    "check_silica_derivatives",
-    "check_sagnac_hom_delay_consistency",
-    "check_wavepacket_normalization",
-]
+__all__ = ["Check", "CHECKS", "CheckResult", "QuotedFigure", "QUOTED", "run_all_checks",
+           "fig1_crossover_radius"]
 
 
 @frozen
@@ -64,11 +47,6 @@ class CheckResult:
 
 _FORM = "{label} {worst:.3e} vs bound {bound:.3e} over {count} points"
 
-# Fixed inputs of the checks below.
-_FOCK_BINS = 1024  # the Fock-oracle grid checked against quadrature
-_UNITARITY_BINS = 512  # the grid whose pair probabilities must sum to one
-_TWO_WAY_SAMPLES, _TWO_WAY_SEED = 100, 20250814  # random draws per two-way check
-
 
 def _worst(values) -> float:
     """The largest value, or NaN if any value is NaN (``max`` would skip it)."""
@@ -76,12 +54,45 @@ def _worst(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def _result(name: str, deviations: list, bound: float, label: str = "max",
-            form: str = _FORM) -> CheckResult:
-    """The one reducer: a check passes when its worst deviation is <= bound."""
-    worst = _worst(deviations)
-    detail = form.format(label=label, worst=worst, bound=bound, count=len(deviations))
-    return CheckResult(name=name, worst=worst, bound=bound, detail=detail)
+@frozen
+class Check:
+    """One row of ``CHECKS``: what ``verify`` prints for the ``function`` attribute's deviations."""
+
+    name: str
+    bound: float
+    label: str
+    form: str
+    function: str  # the check_* attribute of this module that run_all_checks calls
+
+    def result(self, deviations: list) -> CheckResult:
+        """The one reducer: a check passes when its worst deviation is <= bound."""
+        worst = _worst(deviations)
+        return CheckResult(self.name, worst, self.bound, self.form.format(
+            label=self.label, worst=worst, bound=self.bound, count=len(deviations)))
+
+
+CHECKS: list[Check] = []  # filled by _check in definition order, which is verify's order
+
+
+def _check(name: str, bound: float, label: str = "max", form: str = _FORM):
+    """Add a ``CHECKS`` row for the decorated function, which returns its deviations."""
+    def register(deviations_of):
+        row = Check(name, bound, label, form, deviations_of.__name__)
+        CHECKS.append(row)
+        return functools.wraps(deviations_of)(
+            lambda *args, **kwargs: row.result(deviations_of(*args, **kwargs)))
+    return register
+
+
+def run_all_checks() -> list[CheckResult]:
+    # each check by its module attribute, so a wrapped check_* is the one that runs
+    return [globals()[row.function]() for row in CHECKS]
+
+
+# Fixed inputs of the checks below.
+_FOCK_BINS = 1024  # the Fock-oracle grid checked against quadrature
+_UNITARITY_BINS = 512  # the grid whose pair probabilities must sum to one
+_TWO_WAY_SAMPLES, _TWO_WAY_SEED = 100, 20250814  # random draws per two-way check
 
 
 # --- Kerr light speeds ------------------------------------------------------
@@ -99,15 +110,17 @@ _NULL_GRID: Sequence[tuple[float, float, float]] = (
 )
 
 
-def check_null_residual() -> CheckResult:
+@_check("null-residual", 1.0e-12)
+def check_null_residual() -> list[float]:
     points = [kerr.KerrPoint(source=GravSource(r_s=r_s, a=a), r=r) for r_s, a, r in _NULL_GRID]
-    return _result("null-residual", [kerr.null_residual(point, direction)
-                                     for point in points for direction in ("co", "counter")],
-                   1.0e-12)
+    return [kerr.null_residual(point, direction)
+            for point in points for direction in ("co", "counter")]
 
 
-def check_weak_vs_full(weak_fn: Callable[..., float] = kerr.light_speed_weak) -> CheckResult:
-    """Weak-field truncation error against the quadratic envelope (K = 1).
+@_check("weak-vs-full-envelope", 1.0, label="max error/envelope",
+        form="{label} {worst:.3e} (K=1) over {count} points")
+def check_weak_vs_full(weak_fn: Callable[..., float] = kerr.light_speed_weak) -> list:
+    """Weak-field truncation error over the quadratic envelope; the bound is its constant K.
 
     ``weak_fn`` (the shipped double-precision formula unless a test injects
     a tampered one) runs against the full speed in 50-digit arithmetic on a
@@ -128,12 +141,12 @@ def check_weak_vs_full(weak_fn: Callable[..., float] = kerr.light_speed_weak) ->
                 for direction, sign in (("co", 1), ("counter", -1)):
                     weak = mp.mpf(weak_fn(point, direction, force=True))
                     deviations.append(abs(weak - (drag + sign * root)) / envelope)
-    return _result("weak-vs-full-envelope", deviations, 1.0, label="max error/envelope",
-                   form="{label} {worst:.3e} (K=1) over {count} points")
+    return deviations
 
 
-def check_frame_drag_asymmetry() -> CheckResult:
-    """c_co - |c_counter| equals 2 r_s a / r^2 within 1% in the weak field."""
+@_check("frame-drag-asymmetry", 0.01, label="max rel dev")
+def check_frame_drag_asymmetry() -> list[float]:
+    """c_co - |c_counter| equals 2 r_s a / r^2 to leading order in the weak field."""
     deviations = []
     for rs_over_r in (1.0e-8, 1.0e-7, 9.0e-7):
         for a_over_r in (1.0e-5, 1.0e-4, 1.0e-3):
@@ -142,93 +155,13 @@ def check_frame_drag_asymmetry() -> CheckResult:
             c_counter = abs(kerr.light_speed_full(point, "counter"))
             expected = 2.0 * rs_over_r * a_over_r
             deviations.append(abs(c_co - c_counter - expected) / expected)
-    return _result("frame-drag-asymmetry", deviations, 0.01, label="max rel dev")
-
-
-# --- interference -----------------------------------------------------------
-
-def check_hom_closed_vs_quadrature() -> CheckResult:
-    import numpy as np
-
-    sigma = 3.5e3
-    packet = Wavepacket.gaussian(2.0e6, sigma)
-    delays = np.linspace(0.0, 10.0, 21) / sigma
-    return _result("hom-closed-vs-quadrature",
-                   [abs(interference.hom_coincidence_gaussian(sigma, delta_t)
-                        - interference.hom_coincidence_general(packet, delta_t))
-                    for delta_t in delays], 1.0e-9)
-
-
-def check_single_photon_closed_vs_quadrature() -> CheckResult:
-    omega0, sigma = 2.0e6, 3.5e3
-    packet = Wavepacket.gaussian(omega0, sigma)
-    return _result("single-photon-closed-vs-quadrature",
-                   [abs(interference.single_photon_prob_gaussian(delta_phi, omega0, sigma)
-                        - interference.single_photon_prob_quadrature(delta_phi, packet))
-                    for delta_phi in (0.0, 7.0e-3, 0.05)], 1.0e-9)
-
-
-def check_fock_vs_quadrature() -> CheckResult:
-    sigma = 3.5e3
-    packet = Wavepacket.gaussian(2.0e6, sigma)
-    delays = [x / sigma for x in (0.0, 0.5, 1.0, 2.0, 5.0)]
-    return _result("fock-vs-quadrature",
-                   [abs(interference.fock_oracle_hom(packet, delta_t, bins=_FOCK_BINS)
-                        - interference.hom_coincidence_general(packet, delta_t))
-                    for delta_t in delays], 1.0e-6)
-
-
-def check_fock_unitarity() -> CheckResult:
-    from ._kernels import hom_pair_probabilities
-
-    packet = Wavepacket.gaussian(2.0e6, 3.5e3)
-    omegas, weights = interference.fock_grid(packet, _UNITARITY_BINS)
-    return _result("fock-unitarity",
-                   [abs(sum(hom_pair_probabilities(weights, omegas, delta_t)) - 1.0)
-                    for delta_t in (0.0, 2.0e-4, 1.0e-3)], 1.0e-12)
-
-
-def check_visibility_exponent_ratio() -> CheckResult:
-    """-ln(V_single) is exactly twice -ln(1 - 2 P_coincidence) for Gaussians."""
-    sigma = 3.5e3
-    deviations = []
-    for x in (0.5, 1.0, 2.0):
-        delta_t = x / sigma
-        vis = interference.gaussian_visibility(delta_t, sigma)
-        coin = interference.hom_coincidence_gaussian(sigma, delta_t)
-        deviations.append(abs(math.log(vis) / math.log(1.0 - 2.0 * coin) - 2.0))
-    return _result("visibility-exponent-ratio", deviations, 1.0e-12, label="max |ratio-2|")
-
-
-def check_wavepacket_normalization() -> CheckResult:
-    from ._quadrature import integrate
-
-    deviations = []
-    for omega0, sigma in ((2.0e6, 3.5e3), (8.0e6, 4000.0 * math.pi), (1.0e6, 1.0e5)):
-        packet = Wavepacket.gaussian(omega0, sigma)
-        total = integrate(lambda w: float(packet.density(w)),
-                          omega0 - 12.0 * sigma, omega0 + 12.0 * sigma)
-        deviations.append(abs(total - 1.0))
-    return _result("wavepacket-normalization", deviations, 1.0e-10)
+    return deviations
 
 
 # --- two-way isotropy -------------------------------------------------------
 
-def check_two_way_turntable() -> CheckResult:
-    import numpy as np
-
-    rng = np.random.default_rng(_TWO_WAY_SEED)
-    deviations = []
-    for _ in range(_TWO_WAY_SAMPLES):
-        v = float(rng.uniform(0.0, 0.99))
-        r_t = float(rng.uniform(1.0e-2, 1.0e3))
-        omega = float(rng.uniform(1.0, 1.0e7))
-        phi_a, _, diff = turntable.two_way_phase_turntable(v, r_t, omega)
-        deviations.append(abs(diff) / abs(phi_a))
-    return _result("two-way-turntable", deviations, 1.0e-12, label="max rel diff")
-
-
-def check_two_way_kerr() -> CheckResult:
+@_check("two-way-kerr-local", 1.0, label="max |dev|/bound")
+def check_two_way_kerr() -> list[float]:
     import numpy as np
 
     rng = np.random.default_rng(_TWO_WAY_SEED)
@@ -241,7 +174,22 @@ def check_two_way_kerr() -> CheckResult:
         # |c_two_way - 1| is quadratic in r_s/r; allow rounding headroom
         bound = 2.0 * rs_over_r * rs_over_r + 8.0 * np.finfo(float).eps
         deviations.append(abs(local - 1.0) / bound)
-    return _result("two-way-kerr-local", deviations, 1.0, label="max |dev|/bound")
+    return deviations
+
+
+@_check("two-way-turntable", 1.0e-12, label="max rel diff")
+def check_two_way_turntable() -> list[float]:
+    import numpy as np
+
+    rng = np.random.default_rng(_TWO_WAY_SEED)
+    deviations = []
+    for _ in range(_TWO_WAY_SAMPLES):
+        v = float(rng.uniform(0.0, 0.99))
+        r_t = float(rng.uniform(1.0e-2, 1.0e3))
+        omega = float(rng.uniform(1.0, 1.0e7))
+        phi_a, _, diff = turntable.two_way_phase_turntable(v, r_t, omega)
+        deviations.append(abs(diff) / abs(phi_a))
+    return deviations
 
 
 # --- turntable equivalence --------------------------------------------------
@@ -254,7 +202,8 @@ _EQUIV_GRID: Sequence[tuple[float, float, float]] = (
 )
 
 
-def check_equivalence_closure() -> CheckResult:
+@_check("equivalence-closure", 1.0e-12, label="max rel dev")
+def check_equivalence_closure() -> list[float]:
     deviations = []
     for r_s, a, r in _EQUIV_GRID:
         source = GravSource(r_s=r_s, a=a)
@@ -269,10 +218,11 @@ def check_equivalence_closure() -> CheckResult:
             (kerr_metric.g_phiphi, rotating.g_phiphi),
         )
         deviations += [abs(ours - target) / abs(target) for ours, target in pairs]
-    return _result("equivalence-closure", deviations, 1.0e-12, label="max rel dev")
+    return deviations
 
 
-def check_timeshift_metric_consistency() -> CheckResult:
+@_check("timeshift-metric-consistency", 1.0e-12, label="max rel dev")
+def check_timeshift_metric_consistency() -> list[float]:
     deviations = []
     for r_s, a, r in _EQUIV_GRID:
         source = GravSource(r_s=r_s, a=a)
@@ -280,10 +230,11 @@ def check_timeshift_metric_consistency() -> CheckResult:
         v_shift = turntable.equivalence_velocity_timeshift(
             source, r, r_t=r, metric_time=True).v
         deviations.append(abs(v_shift - v_metric) / v_metric)
-    return _result("timeshift-metric-consistency", deviations, 1.0e-12, label="max rel dev")
+    return deviations
 
 
-def check_sagnac_hom_delay_consistency() -> CheckResult:
+@_check("sagnac-hom-delay-consistency", 1.0e-12, label="max rel dev")
+def check_sagnac_hom_delay_consistency() -> list[float]:
     """sagnac_phase/omega equals the loop delay 2vL/(1-v^2) used by the dip."""
     deviations = []
     model = fiber.RefractiveModel.constant(1.0)
@@ -292,7 +243,76 @@ def check_sagnac_hom_delay_consistency() -> CheckResult:
         arms = fiber.FiberArms(length=length, delta_length=0.0, model=model, v=v)
         dip = fiber.hom_dip_shift(arms)
         deviations.append(abs(dip.delta_t_total - delay) / delay)
-    return _result("sagnac-hom-delay-consistency", deviations, 1.0e-12, label="max rel dev")
+    return deviations
+
+
+# --- interference -----------------------------------------------------------
+
+@_check("wavepacket-normalization", 1.0e-10)
+def check_wavepacket_normalization() -> list[float]:
+    from ._quadrature import integrate
+
+    deviations = []
+    for omega0, sigma in ((2.0e6, 3.5e3), (8.0e6, 4000.0 * math.pi), (1.0e6, 1.0e5)):
+        packet = Wavepacket.gaussian(omega0, sigma)
+        total = integrate(lambda w: float(packet.density(w)),
+                          omega0 - 12.0 * sigma, omega0 + 12.0 * sigma)
+        deviations.append(abs(total - 1.0))
+    return deviations
+
+
+@_check("hom-closed-vs-quadrature", 1.0e-9)
+def check_hom_closed_vs_quadrature() -> list[float]:
+    import numpy as np
+
+    sigma = 3.5e3
+    packet = Wavepacket.gaussian(2.0e6, sigma)
+    delays = np.linspace(0.0, 10.0, 21) / sigma
+    return [abs(interference.hom_coincidence_gaussian(sigma, delta_t)
+                - interference.hom_coincidence_general(packet, delta_t))
+            for delta_t in delays]
+
+
+@_check("single-photon-closed-vs-quadrature", 1.0e-9)
+def check_single_photon_closed_vs_quadrature() -> list[float]:
+    omega0, sigma = 2.0e6, 3.5e3
+    packet = Wavepacket.gaussian(omega0, sigma)
+    return [abs(interference.single_photon_prob_gaussian(delta_phi, omega0, sigma)
+                - interference.single_photon_prob_quadrature(delta_phi, packet))
+            for delta_phi in (0.0, 7.0e-3, 0.05)]
+
+
+@_check("fock-vs-quadrature", 1.0e-6)
+def check_fock_vs_quadrature() -> list[float]:
+    sigma = 3.5e3
+    packet = Wavepacket.gaussian(2.0e6, sigma)
+    delays = [x / sigma for x in (0.0, 0.5, 1.0, 2.0, 5.0)]
+    return [abs(interference.fock_oracle_hom(packet, delta_t, bins=_FOCK_BINS)
+                - interference.hom_coincidence_general(packet, delta_t))
+            for delta_t in delays]
+
+
+@_check("fock-unitarity", 1.0e-12)
+def check_fock_unitarity() -> list[float]:
+    from ._kernels import hom_pair_probabilities
+
+    packet = Wavepacket.gaussian(2.0e6, 3.5e3)
+    omegas, weights = interference.fock_grid(packet, _UNITARITY_BINS)
+    return [abs(sum(hom_pair_probabilities(weights, omegas, delta_t)) - 1.0)
+            for delta_t in (0.0, 2.0e-4, 1.0e-3)]
+
+
+@_check("visibility-exponent-ratio", 1.0e-12, label="max |ratio-2|")
+def check_visibility_exponent_ratio() -> list[float]:
+    """-ln(V_single) is exactly twice -ln(1 - 2 P_coincidence) for Gaussians."""
+    sigma = 3.5e3
+    deviations = []
+    for x in (0.5, 1.0, 2.0):
+        delta_t = x / sigma
+        vis = interference.gaussian_visibility(delta_t, sigma)
+        coin = interference.hom_coincidence_gaussian(sigma, delta_t)
+        deviations.append(abs(math.log(vis) / math.log(1.0 - 2.0 * coin) - 2.0))
+    return deviations
 
 
 # --- moving medium ----------------------------------------------------------
@@ -309,9 +329,10 @@ def _grid_coeffs(delta_alpha: float, beta: float,
     )
 
 
+@_check("dispersion-cancellation", 1.0e-12, label="max rel change")
 def check_dispersion_cancellation(
     coincidence_fn: Callable[..., float] = fiber.downconverted_coincidence,
-) -> CheckResult:
+) -> list[float]:
     """Perturbing beta_+- by +-50% must not move the coincidence probability.
 
     One deviation per grid point: the larger relative change of its two perturbations.
@@ -321,7 +342,7 @@ def check_dispersion_cancellation(
     deviations = []
     # sigma capped at 5e3: beyond that the common quadratic phase
     # beta*w^2*L exceeds ~1e4 rad and its double rounding alone moves the
-    # probability by more than the 1e-12 budget being asserted
+    # probability by more than the bound being asserted
     for sigma in (1.0e3, 2.0e3, 3.5e3, 5.0e3):
         for x in (0.05, 0.3, 1.0, 2.0, 3.0):
             delta_alpha = x / (sigma * length)
@@ -329,10 +350,11 @@ def check_dispersion_cancellation(
             deviations.append(_worst(
                 [abs(coincidence_fn(sigma, _grid_coeffs(delta_alpha, beta, factor), length)
                      - base) / base for factor in (1.5, 0.5)]))
-    return _result("dispersion-cancellation", deviations, 1.0e-12, label="max rel change")
+    return deviations
 
 
-def check_downconverted_closed_vs_quadrature() -> CheckResult:
+@_check("downconverted-closed-vs-quadrature", 1.0e-9)
+def check_downconverted_closed_vs_quadrature() -> list[float]:
     length = 1.0e4
     beta = -1.9e-11
     sigma = 3.5e3
@@ -342,10 +364,12 @@ def check_downconverted_closed_vs_quadrature() -> CheckResult:
         quadrature = fiber.downconverted_coincidence(sigma, coeffs, length)
         closed = fiber.downconverted_coincidence_closed(sigma, coeffs.delta_alpha, length)
         deviations.append(abs(quadrature - closed))
-    return _result("downconverted-closed-vs-quadrature", deviations, 1.0e-9)
+    return deviations
 
 
-def check_silica_derivatives() -> CheckResult:
+@_check("silica-derivatives", 1.0, label="max dev/tolerance",
+        form="{label} {worst:.3e} over {count} derivatives")
+def check_silica_derivatives() -> list[float]:
     """Analytic n', n'' and the moving-medium GVD against extended-precision differences."""
     import mpmath as mp
 
@@ -378,32 +402,7 @@ def check_silica_derivatives() -> CheckResult:
             direction = "co" if sign > 0 else "counter"
             analytic = fiber.gvd_moving(model, v, direction)
             ratios.append(float(abs(fd_curv - analytic) / abs(fd_curv)) / 1.0e-6)
-    return _result("silica-derivatives", ratios, 1.0, label="max dev/tolerance",
-                   form="{label} {worst:.3e} over {count} derivatives")
-
-
-# --- suite ------------------------------------------------------------------
-
-def run_all_checks() -> list[CheckResult]:
-    return [
-        check_null_residual(),
-        check_weak_vs_full(),
-        check_frame_drag_asymmetry(),
-        check_two_way_kerr(),
-        check_two_way_turntable(),
-        check_equivalence_closure(),
-        check_timeshift_metric_consistency(),
-        check_sagnac_hom_delay_consistency(),
-        check_wavepacket_normalization(),
-        check_hom_closed_vs_quadrature(),
-        check_single_photon_closed_vs_quadrature(),
-        check_fock_vs_quadrature(),
-        check_fock_unitarity(),
-        check_visibility_exponent_ratio(),
-        check_dispersion_cancellation(),
-        check_downconverted_closed_vs_quadrature(),
-        check_silica_derivatives(),
-    ]
+    return ratios
 
 
 @frozen

@@ -86,15 +86,6 @@ def _check_value(key: str, value: object, shown: object) -> float | int:
     return value
 
 
-def _parse_value(key: str, raw: str) -> float | int:
-    raw = raw.strip()
-    try:
-        value = PARAMETERS[key][0](raw)
-    except ValueError:
-        value = raw  # a string: _check_value names the expected type
-    return _check_value(key, value, raw)
-
-
 def parse_override(item: str) -> tuple[str, float | int]:
     """Parse one ``key=value`` override (the --set flag payload)."""
     if "=" not in item:
@@ -103,7 +94,12 @@ def parse_override(item: str) -> tuple[str, float | int]:
     key = key.strip()
     if key not in PARAMETERS:
         raise ValueError(f"unknown config key {key!r}")
-    return key, _parse_value(key, raw)
+    raw = raw.strip()
+    try:
+        value = PARAMETERS[key][0](raw)
+    except ValueError:
+        value = raw  # a string: _check_value names the expected type
+    return key, _check_value(key, value, raw)
 
 
 def parse_config(text: str, origin: str = "<config>") -> dict[str, float | int]:

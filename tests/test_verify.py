@@ -101,6 +101,25 @@ def test_verify_calls_each_check_once_by_module_name(monkeypatch, capsys):
     assert [result_name for _, result_name in calls] == printed
 
 
+def test_run_all_checks_follows_the_table():
+    assert [res.name for res in reference.run_all_checks()] == [row.name for row in reference.CHECKS]
+
+
+def test_check_attributes_are_the_table_rows():
+    # the traced benchmark wraps exactly these attributes, one span per row
+    checks = {name for name in dir(reference) if name.startswith("check_")}
+    assert checks == {row.function for row in reference.CHECKS}
+    assert len(checks) == len(reference.CHECKS)
+
+
+@pytest.mark.parametrize("row", reference.CHECKS, ids=lambda row: row.name)
+def test_each_check_returns_its_row(row):
+    # the benchmark labels each wrapped attribute's span by the returned name
+    result = getattr(reference, row.function)()
+    assert isinstance(result, reference.CheckResult)
+    assert (result.name, result.bound) == (row.name, row.bound)
+
+
 def test_unreproduced_targets_values():
     targets = {row.name: row for row in reference.QUOTED if row.value_of is not None}
     assert set(targets) == {"small-source-equivalence-velocity",
