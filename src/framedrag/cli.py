@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Every run echoes its effective inputs, prints one line per derived
-quantity with its ``docs/formulas.md`` anchor in brackets, and
-keeps the output byte-deterministic (values at 17 significant digits,
-LF line endings).  Exit codes: 0 success, 2 invalid input, guard
-violation or float64 overflow, 3 verification failure.
+``main`` is the one run path: ``scenario_of`` resolves argv, and the command's
+runner fills in the ``RunReport`` that ``main`` builds and writes.  The report
+echoes the effective inputs, prints one line per derived quantity with its
+``docs/formulas.md`` anchor in brackets, and stays byte-deterministic (values at
+17 significant digits, LF line endings).  Exit codes: 0 success, 2 invalid
+input, guard violation or float64 overflow, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -48,43 +49,43 @@ def _fmt(value) -> str:
     return format(_plain(value), ".17g")
 
 
-class RunReport:
-    """Accumulates input echoes, output lines, and warnings for one run.
+def _suffix(unit: str | None) -> str:
+    return f" {unit}" if unit else ""
 
-    A figure sets ``table`` to ``(header, rows, block)``, where
-    ``block(start, stop)`` returns the columns of rows [start, stop).  ``write``
-    then streams that table instead of the text report, with the warnings on
-    stderr, so the rows are computed during the write, one block at a time.
+
+class RunReport:
+    """One run's report: ``main`` builds it of ``scenario``, the command's runner fills it in.
+
+    ``render`` writes the echo of ``scenario.values``, then one line per
+    ``(name, value, unit, anchor)`` record of ``output``, then the warnings;
+    ``to_csv`` formats the same records.  A figure sets ``table`` to
+    ``(header, rows, block)`` instead, which ``write`` streams one block of
+    rows at a time (``_write_table``), with the warnings on stderr.
     """
 
-    def __init__(self) -> None:
-        self.lines: list[str] = []
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self._outputs: list[tuple[str, float, str | None, str]] = []
         self._warnings: list[str] = []
-        self._rows: list[tuple[str, float]] = []
         self.table: tuple[str, int, Callable[[int, int], list]] | None = None
-
-    def echo_inputs(self, scenario: Scenario) -> None:
-        for key, value in sorted(scenario.values.items()):
-            unit = PARAMETERS[key][1]
-            suffix = f" {unit}" if unit else ""
-            self.lines.append(f"input {key} = {_fmt(value)}{suffix}")
 
     def output(self, name: str, value: float, unit: str | None, anchor_name: str) -> None:
         if not math.isfinite(value):
             raise OverflowError(f"{name} = {value!r} is not finite")
-        plain = _plain(value)
-        suffix = f" {unit}" if unit else ""
-        self.lines.append(f"{name} = {_fmt(value)}{suffix} [{anchor_name}] (~{plain:.4g})")
-        self._rows.append((name, plain))
+        self._outputs.append((name, value, unit, anchor_name))
 
     def warn(self, tag: str, message: str) -> None:
         self._warnings.append(f"WARN {tag}: {message}")
 
     def render(self) -> str:
-        return "\n".join(self.lines + self._warnings) + "\n"
+        echo = [f"input {key} = {_fmt(value)}{_suffix(PARAMETERS[key][1])}"
+                for key, value in sorted(self.scenario.values.items())]
+        lines = [f"{name} = {_fmt(value)}{_suffix(unit)} [{anchor}] (~{_plain(value):.4g})"
+                 for name, value, unit, anchor in self._outputs]
+        return "\n".join(echo + lines + self._warnings) + "\n"
 
     def to_csv(self) -> str:
-        rows = [f"{name},{format(value, '.17g')}" for name, value in self._rows]
+        rows = [f"{name},{format(_plain(value), '.17g')}" for name, value, *_ in self._outputs]
         return "\n".join(["name,value"] + rows) + "\n"
 
     def write(self, csv: str | None) -> None:
@@ -115,12 +116,11 @@ def _write_table(stream, header: str, rows: int,
                  block: Callable[[int, int], list]) -> None:
     """Write ``rows`` rows of float columns as %.17g CSV, _CSV_BLOCK rows per write.
 
-    ``block(start, stop)`` returns the equal-length columns (numpy arrays or
-    lists) of rows [start, stop); it is called once per block, so a figure
-    whose rows are computed there never holds more than one block of them.
-    Each block is turned into Python floats (``tolist`` for arrays),
-    interleaved row-major and formatted by one ``%`` over a repeated row
-    template, so no whole-table text is ever held either.
+    ``block(start, stop)`` returns the equal-length columns of rows
+    [start, stop) as lists of Python floats; it is called once per block, so
+    a figure whose rows are computed there never holds more than one block of
+    them.  Each block is interleaved row-major and formatted by one ``%`` over
+    a repeated row template, so no whole-table text is ever held either.
     """
     stream.write(header + "\n")
     width = header.count(",") + 1
@@ -129,7 +129,7 @@ def _write_table(stream, header: str, rows: int,
         stop = min(start + _CSV_BLOCK, rows)
         cells = [None] * (width * (stop - start))
         for j, part in enumerate(block(start, stop)):
-            cells[j::width] = part.tolist() if hasattr(part, "tolist") else part
+            cells[j::width] = part
         stream.write(row * (stop - start) % tuple(cells))
 
 
@@ -149,11 +149,13 @@ def _report_dip(report: RunReport, arms: fiber.FiberArms) -> None:
                   "dip-center-shift-approx")
 
 
-def _warn_quoted(report: RunReport, command: str, scenario: Scenario) -> None:
+def _warn_quoted(report: RunReport, command: str) -> None:
     """A WARN for each ``reference.QUOTED`` row of ``command`` whose stock inputs the run holds."""
+    printed = {name: _plain(value) for name, value, *_ in report._outputs}
+    held = report.scenario.values.items()
     for row in reference.QUOTED:
-        if command in row.commands and any(s.items() <= scenario.values.items() for s in row.stock):
-            value = dict(report._rows).get(row.line, math.nan)  # nan for a row without a line
+        if command in row.commands and any(s.items() <= held for s in row.stock):
+            value = printed.get(row.line, math.nan)  # nan for a row without a line
             report.warn(row.tag, row.message.format(quoted=row.quoted, unit=row.unit,
                                                     printed=_fmt(value),
                                                     value=_fmt(value / row.per_unit)))
@@ -185,9 +187,7 @@ def _report_warnings(report: RunReport, caught: list) -> None:
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
-    report = RunReport()
-    report.echo_inputs(scenario)
+def cmd_kerr(report: RunReport, scenario: Scenario, args: argparse.Namespace) -> None:
     point = scenario.point()
     length = scenario.path_length()
     omega0 = scenario.require("light.omega0")
@@ -251,12 +251,9 @@ def cmd_kerr(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("photon_prob_gaussian",
                   interference.single_photon_prob_gaussian(phase, omega0, sigma, force=force),
                   None, "single-photon-gaussian")
-    return report
 
 
-def cmd_equivalence(scenario: Scenario, args: argparse.Namespace) -> RunReport:
-    report = RunReport()
-    report.echo_inputs(scenario)
+def cmd_equivalence(report: RunReport, scenario: Scenario, args: argparse.Namespace) -> None:
     source = scenario.source()
     r = scenario.require("point.r")
 
@@ -285,12 +282,9 @@ def cmd_equivalence(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("v_equiv_si", result.v * _C, "m/s", "equivalence-leading")
     report.output("omega_equiv", result.v * _C / r_t, "rad/s", "angular-frequency")
     report.output("g_force", turntable.g_force(result.v, r_t), "g0", "g-force")
-    return report
 
 
-def cmd_feasibility(scenario: Scenario, args: argparse.Namespace) -> RunReport:
-    report = RunReport()
-    report.echo_inputs(scenario)
+def cmd_feasibility(report: RunReport, scenario: Scenario, args: argparse.Namespace) -> None:
     sigma = scenario.require("light.sigma")
     table = scenario.turntable()
     radius = table.r_t
@@ -323,12 +317,9 @@ def cmd_feasibility(scenario: Scenario, args: argparse.Namespace) -> RunReport:
                   fiber.coherence_length_required(arms.length, table.omega_rot, radius),
                   "m", "coherence-length")
     _report_dip(report, arms)
-    return report
 
 
-def cmd_hom(scenario: Scenario, args: argparse.Namespace) -> RunReport:
-    report = RunReport()
-    report.echo_inputs(scenario)
+def cmd_hom(report: RunReport, scenario: Scenario, args: argparse.Namespace) -> None:
     if args.spectrum is not None:
         packet = interference.load_spectrum(args.spectrum)
         report.output("spectrum_omega0", packet.omega0, "rad/m", "single-photon-prob")
@@ -365,12 +356,9 @@ def cmd_hom(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     p_zero = interference.hom_coincidence_general(packet, 0.0)
     report.output("hom_visibility", interference.hom_visibility(p_zero),
                   None, "hom-visibility")
-    return report
 
 
-def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
-    report = RunReport()
-    report.echo_inputs(scenario)
+def cmd_fiber(report: RunReport, scenario: Scenario, args: argparse.Namespace) -> None:
     model = scenario.refractive_model()
     arms = scenario.fiber_arms()
     table = scenario.turntable()
@@ -383,17 +371,17 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("n_prime", model.n_prime, "m", "refractive-index-slope")
     report.output("n_double_prime", model.n_double_prime, "m^2",
                   "refractive-index-curvature")
-    for direction, tag in (("co", "co"), ("counter", "counter")):
-        report.output(f"phase_velocity_{tag}",
+    for direction in ("co", "counter"):
+        report.output(f"phase_velocity_{direction}",
                       fiber.phase_velocity_moving(n0, v, direction), "c",
                       "phase-velocity-composition")
-        report.output(f"lab_velocity_{tag}",
+        report.output(f"lab_velocity_{direction}",
                       fiber.effective_lab_velocity(n0, v, direction), "c",
                       "effective-lab-velocity")
-        report.output(f"group_velocity_{tag}",
+        report.output(f"group_velocity_{direction}",
                       fiber.group_velocity_moving(model, v, direction), "c",
                       "group-velocity-moving")
-        report.output(f"gvd_{tag}", fiber.gvd_moving(model, v, direction), "m",
+        report.output(f"gvd_{direction}", fiber.gvd_moving(model, v, direction), "m",
                       "gvd-moving")
     coeffs = fiber.dispersion_coefficients(model, v)
     report.output("alpha_co", coeffs.alpha_plus, None, "inverse-group-velocity")
@@ -425,13 +413,11 @@ def cmd_fiber(scenario: Scenario, args: argparse.Namespace) -> RunReport:
     report.output("coherence_length",
                   fiber.coherence_length_required(arms.length, table.omega_rot, table.r_t),
                   "m", "coherence-length")
-    return report
 
 
-def cmd_fig1(scenario: Scenario, args: argparse.Namespace) -> RunReport:
+def cmd_fig1(report: RunReport, scenario: Scenario, args: argparse.Namespace) -> None:
     import numpy as np
 
-    report = RunReport()
     source = scenario.source()
     check_positive(source.r_s, "source.rs")  # the scan's unit of radius
     omega0 = scenario.require("light.omega0")
@@ -455,12 +441,10 @@ def cmd_fig1(scenario: Scenario, args: argparse.Namespace) -> RunReport:
             f"(would need sigma <= {sigma_needed:.4g} rad/m).")
     columns = (scan.r_over_rs, scan.phase_rad, scan.visibility)
     report.table = ("r_over_rs,phase_rad,visibility", len(scan.r_over_rs),
-                    lambda start, stop: [column[start:stop] for column in columns])
-    return report
+                    lambda start, stop: [column[start:stop].tolist() for column in columns])
 
 
-def cmd_fig3(scenario: Scenario, args: argparse.Namespace) -> RunReport:
-    report = RunReport()
+def cmd_fig3(report: RunReport, scenario: Scenario, args: argparse.Namespace) -> None:
     sigma = scenario.require("light.sigma")
     radius = scenario.require("turntable.radius")
     length = scenario.require("arms.length")
@@ -484,22 +468,18 @@ def cmd_fig3(scenario: Scenario, args: argparse.Namespace) -> RunReport:
             for omega_rot in omegas]]
 
     report.table = ("omega_rad_s,coincidence_probability", points, block)
-    return report
 
 
 def _run_verify() -> tuple[str, bool]:
     """The verify text (one PASS/FAIL line per check, WARN lines, summary) and its verdict."""
-    report = RunReport()
     results = reference.run_all_checks()
-    report.lines = [f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}"
-                    for res in results]
-    for row in reference.QUOTED:
-        if row.value_of is not None:
-            report.warn(row.tag, f"{row.name}: quoted {row.quoted}, formula gives "
-                                 f"{_fmt(row.computed())} {row.unit} ({row.context}).")
+    lines = [f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}" for res in results]
+    lines += [f"WARN {row.tag}: {row.name}: quoted {row.quoted}, formula gives "
+              f"{_fmt(row.computed())} {row.unit} ({row.context})."
+              for row in reference.QUOTED if row.value_of is not None]
     passed = sum(res.passed for res in results)
-    summary = f"verify: {passed}/{len(results)} checks passed\n"
-    return report.render() + summary, passed == len(results)
+    lines.append(f"verify: {passed}/{len(results)} checks passed")
+    return "\n".join(lines) + "\n", passed == len(results)
 
 
 # scenario command -> (defaults, runner)
@@ -514,11 +494,20 @@ _COMMANDS = {
 }
 
 
+def scenario_of(args: argparse.Namespace) -> Scenario:
+    """The resolved inputs of a parsed command: defaults < --config < --set < shorthand flags."""
+    config = load_config(args.config) if args.config is not None else {}
+    overrides = dict(parse_override(item) for item in args.overrides)
+    overrides.update((key, value) for key, value in vars(args).items()
+                     if "." in key and value is not None)  # shorthand flags win
+    return Scenario.assemble(_COMMANDS[args.command][0], config, overrides)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each command takes only the options it reads.
 
     A shorthand flag's ``dest`` is the scenario key it sets (``--points`` ->
-    ``scan.points``), so ``main`` folds it into the overrides by name.
+    ``scan.points``), so ``scenario_of`` folds it into the overrides by name.
     """
     csv = argparse.ArgumentParser(add_help=False)
     csv.add_argument("--csv", type=str, metavar="PATH",
@@ -583,18 +572,14 @@ def main(argv: list[str] | None = None) -> int:
                     handle.write(text)
             return 0 if ok else 3
 
-        config = load_config(args.config) if args.config is not None else {}
-        overrides = dict(parse_override(item) for item in args.overrides)
-        overrides.update((key, value) for key, value in vars(args).items()
-                         if "." in key and value is not None)  # shorthand flags win
-        defaults, runner = _COMMANDS[args.command]
-        scenario = Scenario.assemble(defaults, config, overrides)
+        scenario = scenario_of(args)
+        report = RunReport(scenario)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             # validates everything before any output; a figure's rows are
             # computed during report.write, outside this block, and cannot warn
-            report = runner(scenario, args)
-        _warn_quoted(report, args.command, scenario)
+            _COMMANDS[args.command][1](report, scenario, args)
+        _warn_quoted(report, args.command)
         _report_warnings(report, caught)
         report.write(args.csv)
         return 0

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, determinism, warnings, CSV."""
 
+import ast
 import math
 import os
 import re
@@ -264,6 +265,20 @@ def test_config_file_and_set_precedence(capsys, tmp_path):
     assert code == 0
     assert "input point.r = 63700000 m" in out
     assert "input light.sigma = 9900 rad/m" in out
+
+
+def test_scenario_of_ranks_defaults_config_set_then_shorthand(tmp_path):
+    # no golden run sets one key both by --set and by its shorthand flag
+    config = tmp_path / "sweep.cfg"
+    config.write_text("sweep.points = 9\n")
+
+    def points(*argv):
+        return cli.scenario_of(cli.build_parser().parse_args(["fig3", *argv])).get("sweep.points")
+
+    assert points() == 512
+    assert points("--config", str(config)) == 9
+    assert points("--config", str(config), "--set", "sweep.points=7") == 7
+    assert points("--config", str(config), "--set", "sweep.points=7", "--points", "5") == 5
 
 
 def test_input_echo_units_of_keys_outside_the_golden_set(capsys):
@@ -837,3 +852,33 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert "FAIL broken-check: max 1 vs bound 0" in out
     assert "verify: 0/1 checks passed" in out
+
+
+def _own_nodes(function: ast.FunctionDef):
+    """The nodes of ``function``'s body, not descending into nested functions or lambdas."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_main_is_the_one_run_path():
+    # main builds each run's scenario (through scenario_of) and report; runners only fill it in
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    calls = [(function.name, ast.unparse(node.func)) for function in functions
+             for node in _own_nodes(function) if isinstance(node, ast.Call)]
+    module_calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert module_calls.count("RunReport") == 1 and module_calls.count("Scenario.assemble") == 1
+    assert [name for name, callee in calls if callee == "RunReport"] == ["main"]
+    assert [name for name, callee in calls if callee == "Scenario.assemble"] == ["scenario_of"]
+    runners = [function for function in functions if function.name.startswith("cmd_")]
+    assert sorted(f"cmd_{command}" for command in cli._COMMANDS) == sorted(
+        function.name for function in runners)
+    for runner in runners:
+        assert [arg.arg for arg in runner.args.args] == ["report", "scenario", "args"]
+        assert not [node for node in _own_nodes(runner)
+                    if isinstance(node, ast.Return) and node.value is not None], runner.name
+    assert not hasattr(cli.RunReport, "echo_inputs")

@@ -72,8 +72,8 @@ def test_closed_form_commands_load_no_heavy_module(argv):
     ["fig3"],
 ])
 def test_figure_csv_export_loads_no_further_heavy_module(argv, tmp_path):
-    # the table writer turns array blocks into floats with their own tolist(),
-    # so writing fig3's plain lists to a file must not pull numpy in
+    # the table writer takes lists only (fig1's block turns its array slices
+    # into lists), so writing fig3's plain lists to a file must not pull numpy in
     expected = ["numpy"] if argv[0] == "fig1" else []
     path = tmp_path / "table.csv"
     assert _probe([*argv, "--csv", str(path)]) == (0, expected)

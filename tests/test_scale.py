@@ -23,7 +23,7 @@ import pytest
 
 from _cli_helpers import run
 from framedrag import cli
-from framedrag.scenario import PARAMETERS, Scenario
+from framedrag.scenario import PARAMETERS
 
 LAMBDA = 4.0
 # length power of each unit a key, a report line or a table column prints
@@ -51,10 +51,7 @@ CASES = [case for case in GOLDEN if case["argv"][0] != "verify"]
 def _scaled_argv(argv: list[str]) -> list[str]:
     """The same command with every resolved input given by --set, lengths times LAMBDA."""
     args = cli.build_parser().parse_args(argv)
-    overrides = dict(cli.parse_override(item) for item in args.overrides)
-    overrides.update((key, value) for key, value in vars(args).items()
-                     if "." in key and value is not None)
-    scenario = Scenario.assemble(cli._COMMANDS[args.command][0], {}, overrides)
+    scenario = cli.scenario_of(args)
     scaled = [args.command] + (["--method", args.method] if args.command == "equivalence" else [])
     for key, value in scenario.values.items():
         if isinstance(value, float):
