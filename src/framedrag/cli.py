@@ -17,7 +17,7 @@ import sys
 import warnings
 from collections.abc import Callable
 
-from . import fiber, interference, kerr, reference, turntable
+from . import fiber, interference, kerr, turntable
 from ._quadrature import unconverged
 from .constants import CONSTANTS
 from .errors import GuardViolation, check_positive, check_speed
@@ -30,6 +30,7 @@ from .scenario import (
     FIBER_LOOP_DEFAULTS,
     HOM_DEFAULTS,
     PARAMETERS,
+    QUOTED,
     Scenario,
     load_config,
     parse_override,
@@ -150,10 +151,10 @@ def _report_dip(report: RunReport, arms: fiber.FiberArms) -> None:
 
 
 def _warn_quoted(report: RunReport, command: str) -> None:
-    """A WARN for each ``reference.QUOTED`` row of ``command`` whose stock inputs the run holds."""
+    """A WARN for each ``QUOTED`` row of ``command`` whose stock inputs the run holds."""
     printed = {name: _plain(value) for name, value, *_ in report._outputs}
     held = report.scenario.values.items()
-    for row in reference.QUOTED:
+    for row in QUOTED:
         if command in row.commands and any(s.items() <= held for s in row.stock):
             value = printed.get(row.line, math.nan)  # nan for a row without a line
             report.warn(row.tag, row.message.format(quoted=row.quoted, unit=row.unit,
@@ -291,6 +292,9 @@ def cmd_feasibility(report: RunReport, scenario: Scenario, args: argparse.Namesp
 
     v_min, v_min_leading = turntable.min_velocity_for_visibility(
         radius, sigma, table.windings)
+    # a narrow enough packet rounds the threshold to c; each later speed is slower
+    check_speed(v_min, "v_min = 1/sqrt((2 pi (2 turntable.windings + 1) turntable.radius "
+                       "light.sigma)^2 + 1)")
     report.output("v_min", v_min, "c", "min-velocity")
     report.output("v_min_si", v_min * _C, "m/s", "min-velocity")
     report.output("v_min_leading", v_min_leading, "c", "min-velocity-leading")
@@ -472,11 +476,13 @@ def cmd_fig3(report: RunReport, scenario: Scenario, args: argparse.Namespace) ->
 
 def _run_verify() -> tuple[str, bool]:
     """The verify text (one PASS/FAIL line per check, WARN lines, summary) and its verdict."""
+    from . import reference  # the one command that loads the verify suite
+
     results = reference.run_all_checks()
     lines = [f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}" for res in results]
     lines += [f"WARN {row.tag}: {row.name}: quoted {row.quoted}, formula gives "
               f"{_fmt(row.computed())} {row.unit} ({row.context})."
-              for row in reference.QUOTED if row.value_of is not None]
+              for row in QUOTED if row.value_of is not None]
     passed = sum(res.passed for res in results)
     lines.append(f"verify: {passed}/{len(results)} checks passed")
     return "\n".join(lines) + "\n", passed == len(results)

@@ -69,11 +69,6 @@ class RefractiveModel:
             raise ValueError(f"k0 must be large enough that k0^3 > 0, got {self.k0!r}")
 
     @classmethod
-    def fused_silica(cls) -> "RefractiveModel":
-        """Built-in fused-silica model: n(k) = 1e5/k + 1.44 around k0 = 8e6 m^-1."""
-        return cls(A=1.0e5, B=1.44, k0=8.0e6)
-
-    @classmethod
     def constant(cls, n: float, k0: float = 8.0e6) -> "RefractiveModel":
         """Dispersionless model n(k) = n."""
         return cls(A=0.0, B=n, k0=k0)

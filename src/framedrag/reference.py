@@ -1,4 +1,4 @@
-"""Built-in verification suite and documented-delta bookkeeping.
+"""The built-in verification suite.
 
 Every check here re-derives a package result through an independent route
 (extended-precision arithmetic, adaptive quadrature, the discretized Fock
@@ -8,27 +8,24 @@ catches them.
 
 ``CHECKS`` is the table of checks, in the order ``verify`` prints them.  A
 check's name, bound and margin label are written once, in the ``_check``
-line above its ``check_*`` function, which returns its deviations.
-
-``QUOTED`` lists the quoted figures that the printed formulas do not
-reproduce, with their stock inputs; the commands and ``verify`` flag them
-instead of silently dropping or "fixing" them.
+line above its ``check_*`` function, which returns its deviations.  Only
+``verify`` imports this module; the quoted figures it also prints are
+``scenario.QUOTED``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 
 from . import fiber, interference, kerr, turntable
 from ._record import frozen
-from .constants import CONSTANTS, GravSource
+from .constants import GravSource
 from .interference import Wavepacket
-from .scenario import BLACK_HOLE_DEFAULTS, Scenario
+from .scenario import BLACK_HOLE_DEFAULTS, FIBER_LOOP_DEFAULTS, Scenario
 
-__all__ = ["Check", "CHECKS", "CheckResult", "QuotedFigure", "QUOTED", "run_all_checks",
-           "fig1_crossover_radius"]
+__all__ = ["Check", "CHECKS", "CheckResult", "run_all_checks", "fig1_crossover_radius"]
 
 
 @frozen
@@ -373,7 +370,7 @@ def check_silica_derivatives() -> list[float]:
     """Analytic n', n'' and the moving-medium GVD against extended-precision differences."""
     import mpmath as mp
 
-    model = fiber.RefractiveModel.fused_silica()
+    model = Scenario.assemble(FIBER_LOOP_DEFAULTS).refractive_model()
     # (relative deviation, tolerance) pairs; first derivative gets 1e-8,
     # curvature-based quantities 1e-6
     ratios: list[float] = []
@@ -403,70 +400,6 @@ def check_silica_derivatives() -> list[float]:
             analytic = fiber.gvd_moving(model, v, direction)
             ratios.append(float(abs(fd_curv - analytic) / abs(fd_curv)) / 1.0e-6)
     return ratios
-
-
-@frozen
-class QuotedFigure:
-    """A figure the paper quotes that its formulas do not reproduce, and its stock inputs.
-
-    A run of one of ``commands`` whose ``Scenario.values`` contain a ``stock`` set
-    exactly warns ``tag`` with ``message``, filled in with ``quoted``, ``unit``, the value
-    the run printed on ``line`` (``printed``) and that value over ``per_unit`` (``value``).
-    ``value_of`` maps a ``Scenario`` to what ``line`` prints; ``verify`` prints ``computed()``.
-    """
-
-    name: str
-    tag: str
-    quoted: str
-    unit: str
-    commands: tuple[str, ...]
-    stock: tuple[Mapping[str, float], ...]
-    message: str
-    line: str | None = None
-    per_unit: float = 1.0
-    value_of: Callable[[Scenario], float] | None = None
-    extra: Mapping[str, float] = {}  # inputs value_of reads besides the stock ones
-    context: str = ""
-
-    def computed(self) -> float:
-        """``value_of`` at the first stock set plus ``extra``, in ``unit``."""
-        return self.value_of(Scenario.assemble({}, {}, self.stock[0] | self.extra)) / self.per_unit
-
-
-_EARTH = {"source.rs": 0.009, "source.a": 3.9}
-
-# The quoted figures; verify prints the rows that have a value_of in this order.
-QUOTED: tuple[QuotedFigure, ...] = (
-    QuotedFigure(
-        name="earth-radius-convention", tag="earth-radius-convention",
-        quoted="r = 6.37e6 m and r = 6.37e7 m", unit="m", commands=("kerr", "equivalence"),
-        stock=(_EARTH | {"point.r": 6.37e6}, _EARTH | {"point.r": 6.37e7}),
-        message="r_s = 0.009 m with a = 3.9 m is quoted against both {quoted}; the "
-                "headline splitting figures assume r = 6.37e7 m. Outputs above use the "
-                "echoed inputs verbatim."),
-    QuotedFigure(
-        name="small-source-equivalence-velocity", tag="target-value-unreproduced",
-        quoted="110 m/s", unit="m/s", commands=("equivalence",), line="v_equiv_si",
-        stock=(_EARTH | {"point.r": 100.0},),
-        message="quoted equivalence velocity {quoted} for r_s = 0.009 m, a = 3.9 m, "
-                "r = 100 m; the matching formula gives {value} {unit}.",
-        value_of=lambda scenario: turntable.equivalence_velocity_metric(
-            scenario.source(), scenario.require("point.r")).v * CONSTANTS.c,
-        context="metric matching at r_s=0.009 m, a=3.9 m, r=100 m"),
-    QuotedFigure(
-        name="dip-residual-timescale", tag="target-value-unreproduced",
-        quoted="3e-11 s", unit="s", commands=("feasibility", "fiber"),
-        stock=({"turntable.omega": 2.0 * math.pi, "turntable.radius": 0.2,
-                "arms.delta_length": 0.01},),
-        message="quoted residual dip-center timescale {quoted}; the shift formula "
-                "gives {value} {unit} ({printed} m) for these inputs.",
-        line="dip_center_shift", per_unit=CONSTANTS.c,
-        value_of=lambda scenario: fiber.hom_dip_shift(scenario.fiber_arms()).center_shift,
-        # a constant n = 1.453, where fiber and feasibility use their A/k + B index
-        extra={"medium.a": 0.0, "medium.b": 1.453, "arms.length": 1.0e4, "medium.k0": 8.0e6},
-        context="residual dip-center shift at Omega=2*pi rad/s, R=0.2 m, "
-                "delta_L=0.01 m, n=1.453, L=1e4 m"),
-)
 
 
 def fig1_crossover_radius() -> float:

@@ -11,6 +11,12 @@ Every value must be finite and inside the range ``PARAMETERS`` gives its
 key; an error names the key.  ``Scenario.values`` is the one resolved
 map a run reads; the input echo lists exactly that map, so a dropped
 default never appears in it.
+
+This is the one module that holds the paper's stock inputs: the default
+bundles, one per command, and ``QUOTED``, the quoted figures that the
+printed formulas do not reproduce, with their stock inputs.  The commands
+and ``verify`` flag those figures instead of silently dropping or
+"fixing" them.
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ from collections.abc import Callable, Mapping
 from ._record import frozen
 from .constants import CONSTANTS, GravSource
 from .errors import check_at_least, check_positive, check_speed
-from .fiber import FiberArms, RefractiveModel
-from .interference import Wavepacket
+from .fiber import FiberArms, RefractiveModel, hom_dip_shift
+from .interference import MAX_FOCK_BINS, Wavepacket
 from .kerr import KerrPoint
-from .turntable import TurntableConfig
+from .turntable import TurntableConfig, equivalence_velocity_metric
 
 __all__ = [
     "Scenario",
@@ -38,12 +44,16 @@ __all__ = [
     "FEASIBILITY_DEFAULTS",
     "FIBER_LOOP_DEFAULTS",
     "HOM_DEFAULTS",
+    "QuotedFigure",
+    "QUOTED",
 ]
 
 # Every config key: its value type, the unit its input echo prints, and its
-# range -- an errors.py check, a lower bound for check_at_least, or None for
-# any finite value.  Scenario.assemble checks every value against it by key.
-PARAMETERS: Mapping[str, tuple[type, str | None, Callable[[float, str], None] | float | None]] = {
+# range -- an errors.py check, a lower bound for check_at_least, an inclusive
+# (low, high) pair, or None for any finite value.  Scenario.assemble checks
+# every value against it by key.
+PARAMETERS: Mapping[str, tuple[type, str | None,
+                               Callable[[float, str], None] | float | tuple[int, int] | None]] = {
     "source.rs": (float, "m", 0.0),
     "source.a": (float, "m", 0.0),
     "source.mass": (float, "kg", check_positive),
@@ -62,7 +72,7 @@ PARAMETERS: Mapping[str, tuple[type, str | None, Callable[[float, str], None] | 
     "medium.b": (float, None, 1.0),
     "medium.k0": (float, "rad/m", check_positive),
     "interference.delta_t": (float, "m", None),
-    "interference.bins": (int, None, 2),
+    "interference.bins": (int, None, (2, MAX_FOCK_BINS)),
     "scan.r_max": (float, None, check_positive),
     "scan.points": (int, None, 2),
     "sweep.omega_max": (float, "rad/s", None),
@@ -81,6 +91,10 @@ def _check_value(key: str, value: object, shown: object) -> float | int:
     value = kind(value)
     if callable(allowed):
         allowed(value, key)
+    elif isinstance(allowed, tuple):
+        check_at_least(value, allowed[0], key)
+        if value > allowed[1]:
+            raise ValueError(f"{key} must be <= {allowed[1]}, got {value!r}")
     elif allowed is not None:
         check_at_least(value, allowed, key)
     return value
@@ -122,10 +136,22 @@ def load_config(path) -> dict[str, float | int]:
 
 
 # Default parameter bundles, one per command.  Values are the worked
-# scenarios the reports are meant to reproduce out of the box.
+# scenarios the reports are meant to reproduce out of the box; a stock value
+# that two bundles share is written once, in _EARTH or _SILICA_LOOP.
+_EARTH: Mapping[str, float | int] = {"source.rs": 0.009, "source.a": 3.9}
+
+# The 10 km loop of A/k + B "fused silica" turning at 1 Hz.
+_SILICA_LOOP: Mapping[str, float | int] = {
+    "turntable.omega": 2.0 * math.pi,
+    "arms.length": 1.0e4,
+    "arms.delta_length": 0.01,
+    "medium.a": 1.0e5,
+    "medium.b": 1.44,
+    "medium.k0": 8.0e6,
+}
+
 EARTH_SURFACE_DEFAULTS: Mapping[str, float | int] = {
-    "source.rs": 0.009,
-    "source.a": 3.9,
+    **_EARTH,
     "point.r": 6.37e7,
     "light.omega0": 2.0e6,
     "light.sigma": 3.5e3,
@@ -141,32 +167,21 @@ BLACK_HOLE_DEFAULTS: Mapping[str, float | int] = {
 }
 
 EQUIVALENCE_DEFAULTS: Mapping[str, float | int] = {
-    "source.rs": 0.009,
-    "source.a": 3.9,
+    **_EARTH,
     "point.r": 6.37e6,
     "turntable.radius": 0.2,
 }
 
 FEASIBILITY_DEFAULTS: Mapping[str, float | int] = {
+    **_SILICA_LOOP,
     "light.sigma": 3.3e3,
     "turntable.radius": 5.0,
-    "turntable.omega": 2.0 * math.pi,
     "turntable.windings": 0,
-    "arms.length": 1.0e4,
-    "arms.delta_length": 0.01,
-    "medium.a": 1.0e5,
-    "medium.b": 1.44,
-    "medium.k0": 8.0e6,
 }
 
 FIBER_LOOP_DEFAULTS: Mapping[str, float | int] = {
+    **_SILICA_LOOP,
     "turntable.radius": 0.2,
-    "turntable.omega": 2.0 * math.pi,
-    "arms.length": 1.0e4,
-    "arms.delta_length": 0.01,
-    "medium.a": 1.0e5,
-    "medium.b": 1.44,
-    "medium.k0": 8.0e6,
     "light.omega0": 8.0e6,
     "light.sigma": 4000.0 * math.pi,
     "sweep.omega_max": 20.0,
@@ -178,6 +193,72 @@ HOM_DEFAULTS: Mapping[str, float | int] = {
     "light.sigma": 3.5e3,
     "interference.bins": 1024,
 }
+
+
+@frozen
+class QuotedFigure:
+    """A figure the paper quotes that its formulas do not reproduce, and its stock inputs.
+
+    A run of one of ``commands`` whose ``Scenario.values`` contain a ``stock`` set
+    exactly warns ``tag`` with ``message``, filled in with ``quoted``, ``unit``, the value
+    the run printed on ``line`` (``printed``) and that value over ``per_unit`` (``value``).
+    ``value_of`` maps a ``Scenario`` to what ``line`` prints; ``verify`` prints ``computed()``.
+    """
+
+    name: str
+    tag: str
+    quoted: str
+    unit: str
+    commands: tuple[str, ...]
+    stock: tuple[Mapping[str, float], ...]
+    message: str
+    line: str | None = None
+    per_unit: float = 1.0
+    value_of: Callable[[Scenario], float] | None = None
+    extra: Mapping[str, float] = {}  # inputs value_of reads besides the stock ones
+    context: str = ""
+
+    def computed(self) -> float:
+        """``value_of`` at the first stock set plus ``extra``, in ``unit``."""
+        return self.value_of(Scenario.assemble({}, {}, self.stock[0] | self.extra)) / self.per_unit
+
+
+def _loop(*keys: str) -> dict[str, float | int]:
+    """The ``fiber`` defaults of ``keys``: the loop a quoted figure is quoted for."""
+    return {key: FIBER_LOOP_DEFAULTS[key] for key in keys}
+
+
+# The quoted figures; verify prints the rows that have a value_of in this order.
+QUOTED: tuple[QuotedFigure, ...] = (
+    QuotedFigure(
+        name="earth-radius-convention", tag="earth-radius-convention",
+        quoted="r = 6.37e6 m and r = 6.37e7 m", unit="m", commands=("kerr", "equivalence"),
+        stock=(_EARTH | {"point.r": 6.37e6}, _EARTH | {"point.r": 6.37e7}),
+        message="r_s = 0.009 m with a = 3.9 m is quoted against both {quoted}; the "
+                "headline splitting figures assume r = 6.37e7 m. Outputs above use the "
+                "echoed inputs verbatim."),
+    QuotedFigure(
+        name="small-source-equivalence-velocity", tag="target-value-unreproduced",
+        quoted="110 m/s", unit="m/s", commands=("equivalence",), line="v_equiv_si",
+        stock=(_EARTH | {"point.r": 100.0},),
+        message="quoted equivalence velocity {quoted} for r_s = 0.009 m, a = 3.9 m, "
+                "r = 100 m; the matching formula gives {value} {unit}.",
+        value_of=lambda scenario: equivalence_velocity_metric(
+            scenario.source(), scenario.require("point.r")).v * CONSTANTS.c,
+        context="metric matching at r_s=0.009 m, a=3.9 m, r=100 m"),
+    QuotedFigure(
+        name="dip-residual-timescale", tag="target-value-unreproduced",
+        quoted="3e-11 s", unit="s", commands=("feasibility", "fiber"),
+        stock=(_loop("turntable.omega", "turntable.radius", "arms.delta_length"),),
+        message="quoted residual dip-center timescale {quoted}; the shift formula "
+                "gives {value} {unit} ({printed} m) for these inputs.",
+        line="dip_center_shift", per_unit=CONSTANTS.c,
+        value_of=lambda scenario: hom_dip_shift(scenario.fiber_arms()).center_shift,
+        # a constant n = 1.453, where fiber and feasibility use their A/k + B index
+        extra={"medium.a": 0.0, "medium.b": 1.453, **_loop("arms.length", "medium.k0")},
+        context="residual dip-center shift at Omega=2*pi rad/s, R=0.2 m, "
+                "delta_L=0.01 m, n=1.453, L=1e4 m"),
+)
 
 
 # The keys that give one quantity two ways: a user value on one side drops

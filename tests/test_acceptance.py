@@ -20,9 +20,10 @@ import pytest
 
 from _acceptance_log import record
 from _cli_helpers import parse_report, run_cli
-from framedrag import fiber, interference, kerr, reference, turntable
+from framedrag import interference, kerr, reference, turntable
 from framedrag.constants import CONSTANTS, GravSource
 from framedrag.interference import Wavepacket
+from framedrag.scenario import FIBER_LOOP_DEFAULTS, QUOTED, Scenario
 
 C = CONSTANTS.c
 
@@ -254,7 +255,7 @@ def test_criterion_10_weak_field_envelope():
 
 def test_criterion_11_silica_derivatives():
     check = reference.check_silica_derivatives()
-    silica = fiber.RefractiveModel.fused_silica()
+    silica = Scenario.assemble(FIBER_LOOP_DEFAULTS).refractive_model()
     n = silica.n
     ok_n = within(n, 1.4525, 1.0e-12)
     record(11, "silica-derivatives", check.passed and ok_n,
@@ -267,7 +268,7 @@ def test_criterion_11_silica_derivatives():
 
 def test_criterion_12_unreproduced_ledger(capsys):
     code, out, _ = run_cli(capsys, "verify")
-    targets = {row.name: row for row in reference.QUOTED if row.value_of is not None}
+    targets = {row.name: row for row in QUOTED if row.value_of is not None}
     ok_names = {"small-source-equivalence-velocity",
                 "dip-residual-timescale"} <= set(targets)
     ok_velocity = ("quoted 110 m/s, formula gives 1052.3188829887727 m/s" in out)

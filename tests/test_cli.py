@@ -15,11 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _cli_helpers import parse_report, run, run_cli
-from framedrag import cli, kerr
+from framedrag import cli, kerr, reference
 from framedrag.constants import CONSTANTS, GravSource
 from framedrag.interference import Wavepacket, hom_coincidence_gaussian
-from framedrag.reference import QUOTED, CheckResult
-from framedrag.scenario import BLACK_HOLE_DEFAULTS, FIBER_LOOP_DEFAULTS, PARAMETERS, Scenario
+from framedrag.reference import CheckResult
+from framedrag.scenario import (BLACK_HOLE_DEFAULTS, FIBER_LOOP_DEFAULTS, PARAMETERS, QUOTED,
+                                Scenario)
 
 
 # --- default reports -----------------------------------------------------------
@@ -659,6 +660,16 @@ def test_feasibility_names_bad_turntable_keys(capsys, overrides, key):
     assert err.startswith(f"ERROR validation: {key} must be ")
 
 
+def test_feasibility_names_its_keys_when_the_threshold_speed_rounds_to_c(capsys):
+    # 2 pi R sigma = 9.4e-9 at R = 5 m: (2 pi R sigma)^2 + 1 rounds to 1, so v_min = 1
+    code, out, err = run_cli(capsys, "feasibility", "--set", "light.sigma=3e-10")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("ERROR validation: v_min = ")
+    assert "turntable.radius light.sigma" in err and err.endswith("got 1.0\n")
+    code, out, _ = run_cli(capsys, "feasibility", "--set", "light.sigma=1e-9")
+    assert code == 0 and "g_force_min = " in out
+
+
 # One out-of-range value per ranged key, on a command that reads it.
 RANGE_CASES = [
     ("kerr", ["source.rs=-1"]),
@@ -678,6 +689,7 @@ RANGE_CASES = [
     ("fiber", ["medium.b=0.5"]),
     ("fiber", ["medium.k0=0"]),
     ("hom", ["interference.bins=1"]),
+    ("hom", ["interference.bins=4096"]),  # past the Fock oracle's cap
     ("fig1", ["scan.r_max=-5"]),
     ("fig1", ["scan.points=1"]),
     ("fig3", ["sweep.points=0"]),
@@ -846,7 +858,7 @@ def test_out_of_memory_is_one_named_error_line(capsys, monkeypatch, message, sho
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli.reference, "run_all_checks", lambda: [
+    monkeypatch.setattr(reference, "run_all_checks", lambda: [
         CheckResult(name="broken-check", worst=1.0, bound=0.0, detail="max 1 vs bound 0")])
     code, out, _ = run_cli(capsys, "verify")
     assert code == 3

@@ -12,8 +12,7 @@ import pytest
 
 from framedrag import cli
 from framedrag.errors import check_positive, check_speed
-from framedrag.reference import QUOTED
-from framedrag.scenario import PARAMETERS
+from framedrag.scenario import PARAMETERS, QUOTED
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs" / "formulas.md"
@@ -60,6 +59,8 @@ def _range_text(allowed) -> str:
         return "> 0"
     if allowed is check_speed:
         return "0 ≤ v < 1"
+    if isinstance(allowed, tuple):
+        return "–".join(map(str, allowed))
     return f"≥ {allowed:g}"
 
 

@@ -26,7 +26,7 @@ from framedrag.turntable import fiber_loop_delay, sagnac_phase
 
 C = 299792458.0
 V_LOOP = 2.0 * math.pi * 0.2 / C  # tabletop loop: Omega = 2pi rad/s, R = 0.2 m
-SILICA = RefractiveModel.fused_silica()
+SILICA = RefractiveModel(A=1.0e5, B=1.44, k0=8.0e6)
 
 
 def loop_arms(model, delta_length=0.01):

@@ -6,7 +6,9 @@ numpy, scipy and mpmath; ``fig1`` (for its radial grid) and ``hom
 three.  Nor do those four closed-form commands, or a rejected input,
 load the pure-Python modules ``dataclasses``, ``inspect``, ``pathlib``
 and ``typing``: that check runs under ``python -S``, since a ``.pth``
-file of an installed package may import ``typing`` at startup.
+file of an installed package may import ``typing`` at startup.  Only
+``verify`` loads the verify suite ``framedrag.reference``, and ``import
+framedrag`` loads no submodule at all.
 The cases need fresh interpreters because the test session itself has
 long since imported all of these.  One more check reads the source:
 ``_quadrature`` is the only module that imports scipy.
@@ -26,27 +28,44 @@ SRC = TESTS.parent / "src"
 HEAVY = ("numpy", "scipy", "mpmath")
 STDLIB_HEAVY = ("dataclasses", "inspect", "pathlib", "typing")
 
-# Prints [exit code or null, sorted watched top-level packages in sys.modules].
+# Prints [exit code or null, the sorted watched modules or packages in sys.modules].
 PROBE = """
 import json, sys
 from _cli_helpers import run
 argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 code = None if argv is None else run(argv)[0]
-loaded = sorted({name.split(".")[0] for name in sys.modules} & set(watched))
+loaded = sorted(w for w in watched if any(n == w or n.startswith(w + ".") for n in sys.modules))
 print(json.dumps([code, loaded]))
 """
 
 
-def _probe(argv, *flags, watched=HEAVY):
-    """Run ``argv`` through ``cli.main`` in ``python <flags>``; its code and loaded ``watched``."""
+def _python(*args):
+    """The last stdout line of ``python <args>``, with the sources and tests on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(TESTS),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, json.dumps(argv),
-                           json.dumps(watched)],
-                          capture_output=True, text=True, env=env, check=True)
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    return code, loaded
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _probe(argv, *flags, watched=HEAVY):
+    """Run ``argv`` through ``cli.main`` in ``python <flags>``; its code and loaded ``watched``."""
+    return tuple(_python(*flags, "-c", PROBE, json.dumps(argv), json.dumps(watched)))
+
+
+def test_importing_the_package_loads_no_submodule():
+    # the namespace re-exports nothing
+    assert _python("-c", "import framedrag, json, sys; print(json.dumps("
+                         "[name for name in sys.modules if name.startswith('framedrag.')]))") == []
+
+
+@pytest.mark.parametrize("command", ["kerr", "equivalence", "feasibility", "hom", "fiber",
+                                     "fig1", "fig3", "verify"])
+def test_only_verify_loads_the_verify_suite(command):
+    # the quoted figures the reports warn about are scenario.QUOTED, not the suite's
+    expected = ["framedrag.reference"] if command == "verify" else []
+    assert _probe([command], watched=["framedrag.reference"]) == (0, expected)
 
 
 def test_importing_cli_loads_no_heavy_module():

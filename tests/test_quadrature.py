@@ -159,7 +159,7 @@ def test_downconverted_integrand_runs_once_per_abs_w_and_is_even(monkeypatch):
     monkeypatch.setattr(fiber, "_downconverted_integrand", counted)
     calls = [(float.fromhex(row[0]), fiber.DispersionCoefficients(*_floats(row[1:5])),
               float.fromhex(row[5])) for row in DATA["downconverted"]["rows"]]
-    model = fiber.RefractiveModel.fused_silica()
+    model = fiber.RefractiveModel(A=1.0e5, B=1.44, k0=8.0e6)
     calls.append((4000.0 * math.pi, fiber.dispersion_coefficients(model, 4.19e-9),
                   1.0e4))
     mirrored = 0

@@ -15,8 +15,8 @@ from framedrag.constants import CONSTANTS, GravSource, PhysicalConstants
 from framedrag.fiber import DipShift, DispersionCoefficients, FiberArms, RefractiveModel
 from framedrag.interference import Wavepacket
 from framedrag.kerr import KerrPoint, MetricComponents, ScanResult
-from framedrag.reference import CheckResult, QuotedFigure
-from framedrag.scenario import Scenario
+from framedrag.reference import CheckResult
+from framedrag.scenario import QuotedFigure, Scenario
 from framedrag.turntable import EquivalenceResult, TurntableConfig
 
 SILICA = RefractiveModel(A=1.0e5, B=1.44, k0=8.0e6)

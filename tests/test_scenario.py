@@ -5,6 +5,7 @@ import math
 import pytest
 
 from framedrag.constants import GravSource
+from framedrag.interference import MAX_FOCK_BINS
 from framedrag.scenario import (
     EARTH_SURFACE_DEFAULTS,
     FIBER_LOOP_DEFAULTS,
@@ -26,6 +27,14 @@ def test_parse_override_types():
         assert isinstance(parse_override(f"{key}=3")[1], int), key
         with pytest.raises(ValueError, match="an integer"):
             parse_override(f"{key}=3.5")
+
+
+def test_fock_bins_stop_at_the_oracle_cap_by_key():
+    # refused by key when the scenario is assembled, before hom computes any line
+    assert parse_override(f"interference.bins={MAX_FOCK_BINS}")[1] == MAX_FOCK_BINS
+    with pytest.raises(ValueError, match=rf"^interference.bins must be <= {MAX_FOCK_BINS}, "
+                                         rf"got {MAX_FOCK_BINS + 1}$"):
+        parse_override(f"interference.bins={MAX_FOCK_BINS + 1}")
 
 
 @pytest.mark.parametrize("item,match", [

@@ -20,7 +20,7 @@ from framedrag.turntable import TurntableConfig
 SOURCE = GravSource(r_s=0.009, a=3.9)
 HOLE = GravSource(r_s=3.0e4, a=7.5e3)
 POINT = KerrPoint(source=SOURCE, r=6.37e6)
-SILICA = RefractiveModel.fused_silica()
+SILICA = RefractiveModel(A=1.0e5, B=1.44, k0=8.0e6)
 ARMS = FiberArms(length=1.0e4, delta_length=0.01, model=SILICA, v=4.2e-9)
 COEFFS = fiber.dispersion_coefficients(SILICA, 4.2e-9)
 PACKET = Wavepacket.gaussian(2.0e6, 3.5e3)

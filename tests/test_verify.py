@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from framedrag import _kernels, cli, fiber, interference, kerr, reference
+from framedrag.scenario import QUOTED
 
 
 def test_all_checks_pass():
@@ -121,7 +122,7 @@ def test_each_check_returns_its_row(row):
 
 
 def test_unreproduced_targets_values():
-    targets = {row.name: row for row in reference.QUOTED if row.value_of is not None}
+    targets = {row.name: row for row in QUOTED if row.value_of is not None}
     assert set(targets) == {"small-source-equivalence-velocity",
                             "dip-residual-timescale"}
     velocity = targets["small-source-equivalence-velocity"]
