@@ -9,6 +9,7 @@ from __future__ import annotations
 import sys
 
 _QUAD_OPTS = dict(epsabs=1.0e-13, epsrel=1.0e-11, limit=500)
+GAUSS_WINDOW = 12.0  # half-width, in units of sigma, of every Gaussian integration window
 
 
 def integrate(f, a: float, b: float, cos: float | None = None) -> float:

@@ -300,16 +300,17 @@ def downconverted_coincidence(sigma: float, coeffs: DispersionCoefficients,
     for bit and QUADPACK's nodes come in mirror pairs, so each call
     evaluates it once per |w|.
     """
-    from ._quadrature import integrate
+    from ._quadrature import GAUSS_WINDOW, integrate
 
     check_positive(sigma, "sigma")
     check_positive(length, "length")
     da = coeffs.delta_alpha
     bs = coeffs.beta_sum
-    half = 12.0 * sigma
+    half = GAUSS_WINDOW * sigma
     bound = (abs(da) * half + abs(bs) * half * half) * length
     if not math.isfinite(bound):
-        raise ValueError(f"integrand phase bound {bound!r} rad over +-12 sigma is not finite")
+        raise ValueError(f"integrand phase bound {bound!r} rad over +-{GAUSS_WINDOW:g} sigma "
+                         "is not finite")
     norm = 1.0 / (math.sqrt(math.pi) * sigma)
     seen: dict[float, float] = {}
 

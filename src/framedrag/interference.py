@@ -35,7 +35,6 @@ __all__ = [
 NARROWBAND_GUARD = 0.2  # sigma/omega0 bound for the closed-form detection probability
 MAX_FOCK_BINS = 2048
 
-_GAUSS_WINDOW = 12.0  # integration half-width in units of sigma
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -199,14 +198,14 @@ def _centered_quad(packet: Wavepacket, cos: float | None = None) -> float:
     """
     import numpy as np
 
-    from ._quadrature import integrate
+    from ._quadrature import GAUSS_WINDOW, integrate
 
     omega0 = packet.omega0
 
     def centered(u: float) -> float:
         return float(_density(np, packet, omega0 + u))
 
-    half = _GAUSS_WINDOW * packet.sigma
+    half = GAUSS_WINDOW * packet.sigma
     return integrate(centered, -half, 0.0, cos) + integrate(centered, 0.0, half, cos)
 
 

@@ -22,6 +22,7 @@ both branches are dragged forward and come out positive.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from ._record import frozen
 from .constants import GravSource
@@ -30,7 +31,6 @@ from .errors import GuardViolation, check_at_least, check_positive, direction_si
 __all__ = [
     "KerrPoint",
     "MetricComponents",
-    "ScanResult",
     "metric_components_kerr",
     "light_speed_full",
     "light_speed_weak",
@@ -265,24 +265,18 @@ def horizon_radius(source: GravSource) -> float:
         raise ValueError(
             f"no horizon: source is super-extremal (a = {source.a!r} > r_s/2 = {source.r_s / 2.0!r})"
         )
-    half = 0.5 * source.r_s
+    # below r_s = 2^-499, (r_s/2)^2 underflows, so r+ is taken on r_s and a
+    # scaled by 2^600; scaling by a power of two is exact either way
+    shift = 600 if source.r_s < 2.0**-499 else 0
+    half, a = math.ldexp(source.r_s, shift - 1), math.ldexp(source.a, shift)
     try:
-        return half + math.sqrt(half * half - source.a**2)
+        return math.ldexp(half + math.sqrt(half * half - a**2), -shift)
     except OverflowError:
         raise OverflowError(f"horizon_radius a^2 overflows at a = {source.a!r}") from None
 
 
-@frozen
-class ScanResult:
-    """Radial scan output: r', accumulated phase difference, visibility."""
-
-    r_over_rs: np.ndarray
-    phase_rad: np.ndarray
-    visibility: np.ndarray
-
-
-def blackhole_scan(source: GravSource, omega: float, sigma: float, *,
-                   r_max: float = 1.0e3, n_points: int = 512) -> ScanResult:
+def blackhole_scan(source: GravSource, omega: float, sigma: float, *, r_max: float = 1.0e3,
+                   n_points: int = 512) -> tuple[int, Callable[[int, int], list]]:
     """Phase difference and visibility versus radius around a black hole.
 
     At each radius r = r' r_s a closed tangential loop L = 2 pi r is
@@ -300,6 +294,12 @@ def blackhole_scan(source: GravSource, omega: float, sigma: float, *,
         The radii are a logarithmic grid of ``n_points`` samples from
         1.05 r+/r_s to ``r_max``, in units of r_s, so every sample lies
         outside the horizon.
+
+    Returns ``(rows, block)``, ``cli._write_table``'s protocol: ``block(start,
+    stop)`` gives the columns [r_over_rs, phase_rad, visibility] of rows
+    [start, stop) as lists of Python floats.  Every row is computed before
+    the return, and the first whose phase is not finite (r = r_s, or inputs
+    that leave float64) raises OverflowError, so ``block`` cannot fail.
     """
     import numpy as np
 
@@ -315,7 +315,7 @@ def blackhole_scan(source: GravSource, omega: float, sigma: float, *,
     grid = np.geomspace(lo, r_max, n_points)
 
     r_s, a = source.r_s, source.a
-    # r = r_s and overflowing inputs give inf or nan, which callers check
+    # r = r_s and overflowing inputs give inf or nan, caught below
     with np.errstate(all="ignore"):
         r = grid * r_s
         big_p = r * r + a * a * (1.0 + r_s / r)
@@ -325,4 +325,9 @@ def blackhole_scan(source: GravSource, omega: float, sigma: float, *,
         delta_t = length * 2.0 * np.minimum(drag, root) / np.abs(1.0 - r_s / r)
         phase = omega * delta_t
         visibility = np.exp(-np.square(delta_t * sigma))
-    return ScanResult(r_over_rs=grid, phase_rad=phase, visibility=visibility)
+    bad = np.flatnonzero(~np.isfinite(phase))  # a nan delay makes the visibility nan too
+    if bad.size:
+        raise OverflowError(f"phase_rad = {float(phase[bad[0]])!r} is not finite "
+                            f"at r/r_s = {float(grid[bad[0]])!r}")
+    columns = (grid, phase, visibility)
+    return len(grid), lambda start, stop: [column[start:stop].tolist() for column in columns]

@@ -247,13 +247,13 @@ def check_sagnac_hom_delay_consistency() -> list[float]:
 
 @_check("wavepacket-normalization", 1.0e-10)
 def check_wavepacket_normalization() -> list[float]:
-    from ._quadrature import integrate
+    from ._quadrature import GAUSS_WINDOW, integrate
 
     deviations = []
     for omega0, sigma in ((2.0e6, 3.5e3), (8.0e6, 4000.0 * math.pi), (1.0e6, 1.0e5)):
         packet = Wavepacket.gaussian(omega0, sigma)
         total = integrate(lambda w: float(packet.density(w)),
-                          omega0 - 12.0 * sigma, omega0 + 12.0 * sigma)
+                          omega0 - GAUSS_WINDOW * sigma, omega0 + GAUSS_WINDOW * sigma)
         deviations.append(abs(total - 1.0))
     return deviations
 

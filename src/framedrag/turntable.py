@@ -197,7 +197,9 @@ def min_velocity_for_visibility(radius: float, sigma: float, windings: int = 0) 
     if scale == 0.0:  # r sigma below ~1e-324 underflows
         raise OverflowError(f"min_velocity_for_visibility 1/(2 pi r sigma) overflows at "
                             f"radius = {radius!r}, sigma = {sigma!r}")
-    exact = 1.0 / math.sqrt(scale * scale + 1.0)
+    # above 2^27, fl(scale^2 + 1) = fl(scale^2) and sqrt(fl(scale^2)) = scale, so
+    # 1/scale is the root's own value, and stays finite where scale^2 overflows
+    exact = 1.0 / scale if scale > 2.0**27 else 1.0 / math.sqrt(scale * scale + 1.0)
     return exact, 1.0 / scale
 
 

@@ -153,6 +153,24 @@ def test_feasibility_defaults(capsys):
     assert values["winding_hom_exponent"] > 2.0
 
 
+def test_feasibility_min_velocity_survives_the_square_overflow(capsys):
+    # (2 pi r sigma)^2 overflowed, so v_min printed 0 c at exit 0
+    code, out, _ = run_cli(capsys, "feasibility", "--set", "light.sigma=3e154")
+    assert code == 0
+    values = parse_report(out)
+    assert values["v_min"] == values["v_min_leading"]
+    assert math.isclose(values["v_min"], 1.0 / (2.0 * math.pi * 5.0 * 3e154), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("rs", ["1e-300", "1e-160"])
+def test_kerr_horizon_of_a_tiny_source_is_its_r_s(capsys, rs):
+    # (r_s/2)^2 underflowed: 1e-300 printed r+ = r_s/2, and 1e-160 was 2.8e-6 off
+    code, out, _ = run_cli(capsys, "kerr", "--set", f"source.rs={rs}", "--set", "source.a=0",
+                           "--set", "point.r=1")
+    assert code == 0
+    assert parse_report(out)["horizon_radius"] == float(rs)
+
+
 def test_hom_defaults(capsys):
     code, out, _ = run_cli(capsys, "hom")
     assert code == 0
@@ -420,14 +438,14 @@ def test_fig1_rejects_bad_scan(capsys, tmp_path, argv, message):
 
 
 def _fig1_rows(points):
-    # the scan arrays rendered one numpy scalar at a time
+    # the scan's columns as one block, rendered one float at a time
     scenario = Scenario.assemble(BLACK_HOLE_DEFAULTS, {}, {"scan.points": points})
-    scan = kerr.blackhole_scan(
+    rows, block = kerr.blackhole_scan(
         scenario.source(), scenario.require("light.omega0"),
         scenario.require("light.sigma"), r_max=scenario.require("scan.r_max"),
         n_points=points)
-    return [f"{r:.17g},{phase:.17g},{vis:.17g}"
-            for r, phase, vis in zip(scan.r_over_rs, scan.phase_rad, scan.visibility)]
+    assert rows == points
+    return [f"{r:.17g},{phase:.17g},{vis:.17g}" for r, phase, vis in zip(*block(0, rows))]
 
 
 def _fig3_rows(points):

@@ -10,8 +10,9 @@ file of an installed package may import ``typing`` at startup.  Only
 ``verify`` loads the verify suite ``framedrag.reference``, and ``import
 framedrag`` loads no submodule at all.
 The cases need fresh interpreters because the test session itself has
-long since imported all of these.  One more check reads the source:
-``_quadrature`` is the only module that imports scipy.
+long since imported all of these.  Two more checks read the source:
+``_quadrature`` is the only module that imports scipy, and ``cli``
+imports no numpy (fig1's scan hands it lists, as fig3's sweep does).
 """
 
 import ast
@@ -91,7 +92,7 @@ def test_closed_form_commands_load_no_heavy_module(argv):
     ["fig3"],
 ])
 def test_figure_csv_export_loads_no_further_heavy_module(argv, tmp_path):
-    # the table writer takes lists only (fig1's block turns its array slices
+    # the table writer takes lists only (the scan's block turns its array slices
     # into lists), so writing fig3's plain lists to a file must not pull numpy in
     expected = ["numpy"] if argv[0] == "fig1" else []
     path = tmp_path / "table.csv"
@@ -143,3 +144,13 @@ def test_only_the_quadrature_module_imports_scipy():
             for path in sorted((SRC / "framedrag").glob("*.py"))}
     assert {name: found for name, found in seen.items() if found} == {
         "_quadrature.py": ["from scipy.integrate import quad"]}
+
+
+def test_the_command_line_imports_no_numpy():
+    # only kerr knows that fig1's scan is an array
+    tree = ast.parse((SRC / "framedrag" / "cli.py").read_text(encoding="utf-8"))
+    found = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names if alias.name.split(".")[0] == "numpy"]
+    found += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "numpy"]
+    assert found == []

@@ -44,6 +44,25 @@ def test_horizon_frozen():
     assert math.isclose(horizon_radius(BH), 27990.38105676658, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("r_s", [1e-160, 1e-300, 5e-324])
+def test_horizon_of_a_tiny_spinless_source_is_r_s(r_s):
+    # (r_s/2)^2 used to underflow: 1e-160 gave r+ 2.8e-6 off, 1e-300 gave r_s/2, 5e-324 gave 0
+    assert horizon_radius(GravSource(r_s=r_s, a=0.0)) == r_s
+
+
+def test_horizon_of_a_tiny_spinning_source():
+    # r+ = 5e-301 + sqrt(25e-602 - 9e-602) = 9e-301; the square of a underflows as well
+    assert math.isclose(horizon_radius(GravSource(r_s=1e-300, a=3e-301)), 9e-301, rel_tol=1e-15)
+
+
+@given(st.floats(2.0**-499, 1e150), st.floats(0.0, 0.5))
+@settings(max_examples=500, deadline=None)
+def test_horizon_keeps_its_bits_above_the_scaling_threshold(r_s, spin_frac):
+    a = spin_frac * r_s
+    half = 0.5 * r_s
+    assert horizon_radius(GravSource(r_s=r_s, a=a)) == half + math.sqrt(half * half - a**2)
+
+
 def test_earth_weak_delay_and_phase_frozen():
     point = KerrPoint(source=EARTH, r=6.37e7)
     length = math.pi * 6.37e7
@@ -75,12 +94,31 @@ def test_scan_delays_frozen(r_over_rs, delay):
 
 
 def test_scan_innermost_frozen():
-    scan = blackhole_scan(BH, 2.0e6, 3.5e3)
-    assert len(scan.r_over_rs) == 512
-    assert math.isclose(scan.r_over_rs[0], 1.05 * horizon_radius(BH) / BH.r_s,
+    rows, block = blackhole_scan(BH, 2.0e6, 3.5e3)
+    r_over_rs, phase_rad, visibility = block(0, rows)
+    assert rows == len(r_over_rs) == 512
+    assert math.isclose(r_over_rs[0], 1.05 * horizon_radius(BH) / BH.r_s,
                         rel_tol=1e-12)
-    assert math.isclose(scan.phase_rad[0] / 2.0e6, 3522652.4319607281, rel_tol=1e-9)
-    assert scan.visibility[0] == 0.0
+    assert math.isclose(phase_rad[0] / 2.0e6, 3522652.4319607281, rel_tol=1e-9)
+    assert visibility[0] == 0.0
+
+
+def test_scan_blocks_are_lists_of_python_floats():
+    # the table writer formats the cells with %, so numpy scalars never reach it
+    rows, block = blackhole_scan(BH, 2.0e6, 3.5e3, n_points=10)
+    whole = block(0, rows)
+    assert [type(column) for column in whole] == [list] * 3
+    assert {type(cell) for column in whole for cell in column} == {float}
+    assert [len(column) for column in whole] == [rows] * 3
+    for start, stop in ((0, 3), (3, 10), (9, 10)):
+        assert block(start, stop) == [column[start:stop] for column in whole]
+
+
+def test_scan_raises_on_its_first_non_finite_row():
+    # r = 1e308 r_s overflows; the scan names the row before it returns any
+    with pytest.raises(OverflowError, match=r"^phase_rad = nan is not finite at r/r_s = "
+                                            r"1e\+308$"):
+        blackhole_scan(BH, 2.0e6, 3.5e3, r_max=1e308, n_points=8)
 
 
 # --- structural properties ---------------------------------------------------
@@ -198,8 +236,9 @@ def test_two_way_speeds_weak_field():
 
 
 def test_scan_shapes_and_ranges():
-    scan = blackhole_scan(BH, 2.0e6, 3.5e3, r_max=500.0, n_points=64)
-    assert scan.r_over_rs.shape == scan.phase_rad.shape == scan.visibility.shape == (64,)
-    assert scan.r_over_rs[-1] == pytest.approx(500.0)
-    assert np.all(scan.visibility >= 0.0) and np.all(scan.visibility <= 1.0)
-    assert np.all(np.diff(scan.r_over_rs) > 0.0)
+    rows, block = blackhole_scan(BH, 2.0e6, 3.5e3, r_max=500.0, n_points=64)
+    r_over_rs, phase_rad, visibility = block(0, rows)
+    assert rows == len(r_over_rs) == len(phase_rad) == len(visibility) == 64
+    assert r_over_rs[-1] == pytest.approx(500.0)
+    assert all(0.0 <= v <= 1.0 for v in visibility)
+    assert np.all(np.diff(r_over_rs) > 0.0)

@@ -14,7 +14,7 @@ from framedrag import interference
 from framedrag.constants import CONSTANTS, GravSource, PhysicalConstants
 from framedrag.fiber import DipShift, DispersionCoefficients, FiberArms, RefractiveModel
 from framedrag.interference import Wavepacket
-from framedrag.kerr import KerrPoint, MetricComponents, ScanResult
+from framedrag.kerr import KerrPoint, MetricComponents
 from framedrag.reference import CheckResult
 from framedrag.scenario import QuotedFigure, Scenario
 from framedrag.turntable import EquivalenceResult, TurntableConfig
@@ -50,9 +50,6 @@ CASES = [
      "MetricComponents(g_tt=0.75, g_tphi=-1.875, g_phiphi=-14400000000.0)", True),
     (KerrPoint, dict(source=HOLE, r=1.2e5),
      "KerrPoint(source=GravSource(r_s=30000.0, a=7500.0), r=120000.0)", True),
-    (ScanResult, dict(r_over_rs=RADII, phase_rad=RADII, visibility=RADII),
-     "ScanResult(r_over_rs=array([1.5, 3. ]), phase_rad=array([1.5, 3. ]), "
-     "visibility=array([1.5, 3. ]))", False),
     (TurntableConfig, dict(r_t=0.5, v=1.0e-7, omega_rot=59.9584916, windings=3),
      "TurntableConfig(r_t=0.5, v=1e-07, omega_rot=59.9584916, windings=3)", True),
     (EquivalenceResult, dict(v=2.5e-9, v_approx=2.5e-9, v_leading=2.25e-9),
@@ -75,7 +72,7 @@ IDS = [cls.__name__ + ("-tabulated" if cls is Wavepacket and fields["grid_omega"
 
 
 def test_every_record_class_is_covered():
-    assert len({case[0] for case in CASES}) == 15
+    assert len({case[0] for case in CASES}) == 14
 
 
 @pytest.mark.parametrize("cls,fields,text,hashable", CASES, ids=IDS)

@@ -83,6 +83,21 @@ def test_windings_needed_names_its_overflow_at_tiny_speeds(v):
         turntable.windings_for_visibility_loss(5.0, 3.3e3, v)
 
 
+def test_min_velocity_past_the_square_overflow_is_the_leading_form():
+    # (2 pi r sigma)^2 overflows here, and 1/sqrt(inf) used to give v_min = 0
+    exact, leading = turntable.min_velocity_for_visibility(5.0, 3e154)
+    assert exact == leading == 1.0 / (2.0 * math.pi * 5.0 * 3e154) > 0.0
+
+
+@given(st.floats(1e-100, 1e100), st.floats(1e-100, 1e100), st.integers(0, 1000))
+@settings(max_examples=500, deadline=None)
+def test_min_velocity_keeps_its_bits_where_the_square_is_finite(radius, sigma, windings):
+    scale = 2.0 * math.pi * ((2 * windings + 1) * radius) * sigma
+    if 0.0 < scale * scale < math.inf:
+        exact, _ = turntable.min_velocity_for_visibility(radius, sigma, windings)
+        assert exact == 1.0 / math.sqrt(scale * scale + 1.0)
+
+
 def test_min_velocity_names_an_underflowed_radius_times_width():
     with pytest.raises(OverflowError, match=r"^min_velocity_for_visibility 1/\(2 pi r sigma\)"):
         turntable.min_velocity_for_visibility(1e-200, 1e-200)
